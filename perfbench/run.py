@@ -13,8 +13,10 @@ only).
 --trace 0 runs the real binary one process at a time, each in a fresh
 directory, for S seconds, checks its outputs and reports the end-to-end
 metrics.  --trace 1 alternates an untraced run with the traced replay and
-reports the per-layer metrics.  The last line of standard output is one
-JSON object with the keys correct, attempted, failed and metrics.
+reports the per-layer metrics.  The first repetition (or pair) of a run
+warms the page cache: its outputs are checked, but it is not timed.  The
+last line of standard output is one JSON object with the keys correct,
+attempted, failed and metrics.
 --results FILE also appends each result, with its environment stamp, to
 FILE for perfbench/compare.py.
 """
@@ -45,26 +47,28 @@ REPLAY = BUILD / "saer_trace"
 # The thread budget, set explicitly: --jobs in the workload flags, plus
 # OMP_NUM_THREADS for the width of an intra-run thread team.
 THREADS = 4
-MIN_REPS = 3  # setup_s is the median of at least this many set-ups
+MIN_REPS = 3  # setup_s is the median of at least this many timed set-ups
 MAX_RUN_S = 150.0  # a run must end within 180 s
 POLL_S = 0.002  # how often a sweep's JSONL is checked for new rows
 
-SWEEP_SHAPE = ["--sizes", "2097152", "--delta", "16", "--ds", "2",
-               "--cs", "3", "--share-graph", "--no-assignment",
-               "--checkpoint-interval", "1"]
+SWEEP_SHAPE = ["--delta", "16", "--ds", "2", "--cs", "3", "--share-graph",
+               "--no-assignment", "--checkpoint-interval", "1"]
 # Flags shared by the untraced command and its replay; the first word is the
-# subcommand.  --seed and the output paths are added per repetition.
+# subcommand.  --seed and the output paths are added per repetition.  The
+# sizes keep one replication short enough that a run times about a hundred
+# of them, so the step percentiles have samples beyond them.
 WORKLOADS = {
-    "sweep-stored": ["sweep", "--topology", "regular", *SWEEP_SHAPE,
-                     "--reps", "16", "--jobs", "4"],
+    "sweep-stored": ["sweep", "--topology", "regular", "--sizes", "1048576",
+                     *SWEEP_SHAPE, "--reps", "32", "--jobs", "4"],
     "sweep-implicit": ["sweep", "--topology", "implicit-regular",
-                       *SWEEP_SHAPE, "--reps", "4", "--jobs", "1"],
+                       "--sizes", "524288", *SWEEP_SHAPE, "--reps", "8",
+                       "--jobs", "1"],
     "serve-bursty": ["serve", "--topology", "regular", "--n", "1048576",
                      "--delta", "16", "--d", "2", "--c", "4",
                      "--curve", "bursty", "--rate", "20000",
                      "--burst-factor", "10", "--burst-on-s", "0.5",
                      "--burst-off-s", "0.5", "--round-us", "1000",
-                     "--duration-rounds", "4000",
+                     "--duration-rounds", "2000",
                      "--report-interval-s", "0.025", "--jobs", "4"],
 }
 
@@ -83,9 +87,9 @@ def median(values):
 
 
 def percentile(values, p):
-    """Linear interpolation between the closest ranks."""
+    """Linear interpolation between the closest ranks; 0 when empty."""
     if not values:
-        return None
+        return 0.0
     v = sorted(values)
     k = (len(v) - 1) * p / 100
     lo = math.floor(k)
@@ -470,8 +474,9 @@ def replay(name, seed, index, plain):
 def measure(name, seed, seconds, trace):
     """Repeats the workload while another repetition fits in `seconds`.
 
-    Untraced: at least MIN_REPS processes.  Traced: pairs of an untraced
-    process and a replay, at least one.
+    The first repetition is the warm-up.  Untraced: at least MIN_REPS
+    processes after it.  Traced: pairs of an untraced process and a replay,
+    at least one after it.
     """
     results, spent, start = [], [], time.monotonic()
     while True:
@@ -482,39 +487,47 @@ def measure(name, seed, seconds, trace):
                        if trace else plain)
         spent.append(time.monotonic() - t)
         elapsed, typical = time.monotonic() - start, median(spent)
-        enough = trace or len(results) >= MIN_REPS
+        enough = len(results) > (1 if trace else MIN_REPS)
         if (enough and elapsed + typical > seconds) or \
                 elapsed + typical > MAX_RUN_S:
             return results
 
 
 def end_to_end(reps):
-    """Medians over the repetitions, so one disturbed process cannot set a
-    figure; the step percentiles are taken per repetition first."""
-    def over_reps(value):
-        return median([v for v in map(value, reps) if v is not None])
+    """Medians over the repetitions that passed their checks, so neither a
+    disturbed process nor a failed one sets a figure.  The step percentiles
+    are taken over the steps of those repetitions pooled; the second value
+    returned is how many steps that is."""
+    good = [r for r in reps if not r["problems"]]
+    steps = [s for r in good for s in r["step_ms"]]
     return {
-        "wall_s": over_reps(lambda r: r["wall_s"]),
-        "setup_s": over_reps(lambda r: r["setup_s"]),
-        "step_ms_p50": over_reps(lambda r: percentile(r["step_ms"], 50)),
-        "step_ms_p90": over_reps(lambda r: percentile(r["step_ms"], 90)),
-        "max_rss_mib": over_reps(lambda r: r["max_rss_mib"]),
-    }
+        "wall_s": median([r["wall_s"] for r in good]),
+        "setup_s": median([r["setup_s"] for r in good
+                           if r["setup_s"] is not None]),
+        "step_ms_p50": percentile(steps, 50),
+        "step_ms_p90": percentile(steps, 90),
+        "max_rss_mib": median([r["max_rss_mib"] for r in good]),
+    }, len(steps)
 
 
 def per_layer(pairs):
-    names = {k for _, traced in pairs for k in traced["layers"]}
-    m = {k: median([t["layers"][k] for _, t in pairs if k in t["layers"]])
-         for k in names}
-    m["trace.overhead"] = median([t["wall_s"] for _, t in pairs]) / \
-        median([p["wall_s"] for p, _ in pairs]) - 1
+    good = [(p, t) for p, t in pairs if not p["problems"] and
+            not t["problems"]]
+    m = {k: median([t["layers"][k] for _, t in good if k in t["layers"]])
+         for k in {k for _, t in good for k in t["layers"]}}
+    m["trace.overhead"] = median([t["wall_s"] for _, t in good]) / \
+        median([p["wall_s"] for p, _ in good]) - 1 if good else 0.0
     return m
 
 
 def bench(name, args, spec, build_type):
     results = measure(name, args.seed, args.seconds, args.trace)
     ops = [r for pair in results for r in pair] if args.trace else results
-    values = per_layer(results) if args.trace else end_to_end(results)
+    timed = results[1:]
+    if args.trace:
+        values, steps = per_layer(timed), None
+    else:
+        values, steps = end_to_end(timed)
     attempted = sum(r["attempted"] for r in ops)
     failed = sum(r["failed"] for r in ops)
     # A metric a workload does not reach (a sweep has no serve loop) is 0.
@@ -522,16 +535,17 @@ def bench(name, args, spec, build_type):
                            "unit": m["unit"]}
                for m in spec["per_layer" if args.trace else "end_to_end"]}
     result = {"workload": name, "trace": args.trace, "seconds": args.seconds,
-              "repetitions": len(results),
+              "repetitions": len(timed), "steps": steps,
               "stamp": stamp(args.seed, build_type),
               "correct": not any(r["problems"] for r in ops),
               "attempted": attempted, "failed": failed,
               "fail_ratio": failed / attempted, "metrics": metrics}
-    print(f"{name}: seed {args.seed}, {len(results)} "
-          f"{'traced pairs' if args.trace else 'repetitions'}, "
-          f"correct {result['correct']}")
+    print(f"{name}: seed {args.seed}, {len(timed)} "
+          f"{'traced pairs' if args.trace else 'repetitions'} timed after "
+          f"a warm-up, correct {result['correct']}")
     for metric, m in metrics.items():
-        print(f"  {metric:<34} {m['value']:>16.6g} {m['unit']}")
+        pooled = f" ({steps} steps)" if metric.startswith("step_ms") else ""
+        print(f"  {metric:<34} {m['value']:>16.6g} {m['unit']}{pooled}")
     print(f"  {'fail_ratio':<34} {result['fail_ratio']:>16.6g} ratio "
           f"({failed} of {attempted} operations)")
     print("stamp " + json.dumps(result["stamp"]))
