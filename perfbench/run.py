@@ -55,13 +55,13 @@ SWEEP_SHAPE = ["--delta", "16", "--ds", "2", "--cs", "3", "--share-graph",
                "--no-assignment", "--checkpoint-interval", "1"]
 # Flags shared by the untraced command and its replay; the first word is the
 # subcommand.  --seed and the output paths are added per repetition.  The
-# sizes keep one replication short enough that a run times about a hundred
-# of them, so the step percentiles have samples beyond them.
+# sizes keep the steps short enough that a run times more than a hundred of
+# them, so the 90th percentile has ten or more samples beyond it.
 WORKLOADS = {
     "sweep-stored": ["sweep", "--topology", "regular", "--sizes", "1048576",
                      *SWEEP_SHAPE, "--reps", "32", "--jobs", "4"],
     "sweep-implicit": ["sweep", "--topology", "implicit-regular",
-                       "--sizes", "524288", *SWEEP_SHAPE, "--reps", "8",
+                       "--sizes", "262144", *SWEEP_SHAPE, "--reps", "16",
                        "--jobs", "1"],
     "serve-bursty": ["serve", "--topology", "regular", "--n", "1048576",
                      "--delta", "16", "--d", "2", "--c", "4",
