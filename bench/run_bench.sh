@@ -15,8 +15,9 @@
 #                    (default: 0.2)
 #   BENCH_ALLOW_UNOPTIMIZED=1  skip the Release-build check (for debugging
 #                    the harness only -- never record a baseline this way)
-#   OMP_NUM_THREADS  pin intra-run OpenMP threads; the checked-in baselines
-#                    are recorded with OMP_NUM_THREADS=1
+#   OMP_NUM_THREADS  thread budget of the intra-run team (the engines read
+#                    the variable themselves; there is no OpenMP runtime);
+#                    the checked-in baselines are recorded with 1
 #
 # The checked-in BENCH_<PR>.json files at the repo root are snapshots of
 # this script's output, one per PR that moved engine performance, so the

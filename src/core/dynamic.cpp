@@ -1,9 +1,9 @@
 #include "core/dynamic.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
+#include "core/round.hpp"
 #include "util/parallel.hpp"
 
 namespace saer {
@@ -12,42 +12,6 @@ namespace {
 /// Separate stream namespace for server-failure coin flips so they never
 /// collide with ball streams (balls use stream = ball id < n*d).
 constexpr std::uint64_t kFailureStreamBase = 0x8000'0000'0000'0000ULL;
-
-/// Alive balls below which a step skips the intra-run team (same policy as
-/// the batch engine's kIntraRunMinBalls; scheduling-only, results are
-/// bit-identical either way).
-constexpr std::size_t kTeamMinBalls = std::size_t{1} << 15;
-
-/// Implicit-mode Phase-1 sampler.  Mirrors the batch engine's
-/// ImplicitSource cursor: the client's row is regenerated once per run of
-/// consecutive same-client balls, and -- because scatter_count dereferences
-/// addresses up to kScatterPipeline calls after addr_of returns them --
-/// each sampled server is resolved now and parked in a pipeline-deep ring.
-/// scatter_count copies the sampler per chunk, so the row buffer and ring
-/// are chunk-private by construction.
-struct ImplicitStepSampler {
-  const ImplicitRegularTopology* topo;
-  const BallId* alive;
-  const CounterRng* rng;
-  FastDiv32 by_d;
-  std::uint32_t round;
-  std::vector<NodeId> row;
-  NodeId cached_v = kUnassigned;
-  std::array<NodeId, kScatterPipeline> ring{};
-
-  const NodeId* operator()(std::size_t i) {
-    const BallId b = alive[i];
-    const auto v = static_cast<NodeId>(by_d.quotient(b));
-    if (v != cached_v) {
-      cached_v = v;
-      topo->neighbors(v, row);
-    }
-    const std::uint64_t k = rng->bounded(b, round, topo->degree());
-    NodeId& slot = ring[i % kScatterPipeline];
-    slot = row[k];
-    return &slot;
-  }
-};
 }  // namespace
 
 DynamicEngine::DynamicEngine(const BipartiteGraph& graph,
@@ -57,7 +21,6 @@ DynamicEngine::DynamicEngine(const BipartiteGraph& graph,
       n_servers_(graph.num_servers()),
       params_(params),
       rng_(params.base.seed),
-      by_d_(params.base.d),
       latency_us_(params.latency_bucket_us) {
   init();
 }
@@ -69,7 +32,6 @@ DynamicEngine::DynamicEngine(const ImplicitRegularTopology& topology,
       n_servers_(topology.num_servers()),
       params_(params),
       rng_(params.base.seed),
-      by_d_(params.base.d),
       latency_us_(params.latency_bucket_us) {
   init();
 }
@@ -78,8 +40,6 @@ void DynamicEngine::init() {
   params_.base.validate();
   if (params_.server_failure_rate < 0.0 || params_.server_failure_rate >= 1.0)
     throw std::invalid_argument("run_dynamic: failure rate outside [0,1)");
-
-  cap_ = params_.base.capacity();
 
   // Stored graphs can contain isolated clients; implicit topologies have
   // degree() >= 1 for every client by construction, so only the stored
@@ -94,18 +54,12 @@ void DynamicEngine::init() {
 
   const std::uint64_t total_balls =
       static_cast<std::uint64_t>(n_clients_) * params_.base.d;
-  alive_.reserve(total_balls);
-  next_alive_.reserve(total_balls);
-  target_.resize(total_balls);
+  // Exact cumulative counts, as the service has no width dispatch: only
+  // the SAER comparison reads them, so either width gives the same bits.
+  ws_.ensure(n_servers_, total_balls, /*wide_recv_total=*/true);
+  ws_.alive.reserve(total_balls);
   activation_round_.resize(total_balls);
   stamp_us_.resize(n_clients_, 0);
-
-  round_recv_.assign(n_servers_, 0);
-  recv_total_.assign(n_servers_, 0);
-  accepted_.assign(n_servers_, 0);
-  burned_.assign(n_servers_, 0);
-  failed_.assign(n_servers_, 0);
-  accept_flag_.assign(n_servers_, 0);
 }
 
 NodeId DynamicEngine::num_clients() const noexcept {
@@ -113,7 +67,7 @@ NodeId DynamicEngine::num_clients() const noexcept {
 }
 
 bool DynamicEngine::drained() const noexcept {
-  return alive_.empty() && pending_total_ == 0;
+  return ws_.alive.empty() && pending_total_ == 0;
 }
 
 bool DynamicEngine::exhausted() const noexcept {
@@ -140,7 +94,7 @@ void DynamicEngine::activate_pending() {
       stamp_us_[next_client_] = batch.stamp_us;
       for (std::uint32_t i = 0; i < d; ++i) {
         const BallId b = static_cast<BallId>(next_client_) * d + i;
-        alive_.push_back(b);
+        ws_.alive.push_back(b);
         activation_round_[b] = round_;
       }
     }
@@ -149,172 +103,102 @@ void DynamicEngine::activate_pending() {
   pending_total_ = 0;
 }
 
-ThreadTeam* DynamicEngine::team(int threads) {
-  if (threads <= 1) return nullptr;
-  const auto want = static_cast<unsigned>(threads);
-  if (team_ && team_->size() != want) team_.reset();
-  if (!team_) {
-    team_ = std::make_unique<ThreadTeam>(want, ThreadTeam::pin_requested());
-  }
-  return team_.get();
+void DynamicEngine::fail_servers() {
+  // The one pass over every server, so it always gets the team: a failure
+  // rate makes each step O(num_servers) whatever the backlog.
+  const TeamRegion region(ws_.team(intra_run_threads()));
+  std::uint8_t* const flags = ws_.flags.data();
+  failed_servers_ += parallel_reduce_sum(0, n_servers_, [&](std::size_t ui) {
+    if (flags[ui] & kServerFailed) return 0;
+    const double coin = rng_.uniform01(kFailureStreamBase + ui, round_);
+    if (coin >= params_.server_failure_rate) return 0;
+    flags[ui] |= kServerFailed;
+    return 1;
+  });
+}
+
+template <class Source>
+void DynamicEngine::play_round(const Source& source, std::uint64_t now_us) {
+  const std::size_t m = ws_.alive.size();
+  const int width = m >= kIntraRunMinBalls ? intra_run_threads() : 1;
+  const TeamRegion region(ws_.team(width));
+  const UniformBallClient ball_client(params_.base.d);
+  RoundKernel<Source, UniformBallClient, Recv64, /*kFailures=*/true> kernel(
+      source, ball_client, Recv64{ws_.recv_total64.data()}, params_.base,
+      ws_);
+  const RoundBlockStats s =
+      kernel.serve(round_, ws_.alive.data(), m, /*keep_counts=*/false);
+  max_load_ = std::max(max_load_, s.max_load);
+  burned_servers_ += s.newly_burned;
+  // Settle on this thread, in alive order: the latency sum is a double.
+  kernel.emit(/*in_order=*/true, [&](BallId b, NodeId) {
+    const std::uint32_t lat = round_ - activation_round_[b] + 1;
+    latency_rounds_.add(lat);
+    latency_sum_ += lat;
+    latency_max_ = std::max(latency_max_, lat);
+    latency_us_.add(
+        static_cast<std::int64_t>(now_us - stamp_us_[ball_client(b)]));
+    ++settled_balls_;
+  });
+  work_messages_ += 2 * static_cast<std::uint64_t>(m);
 }
 
 DynamicStepStats DynamicEngine::step(std::uint64_t now_us) {
-  const NodeId n_servers = n_servers_;
   ++round_;
   activate_pending();
+  if (params_.server_failure_rate > 0.0) fail_servers();
 
-  // Serve-mode steps inherit the engine's intra-run parallelism: install
-  // the persistent team for this round's loops (churn coins, scatter,
-  // verdict scan, reset, max fold).  Small backlogs stay serial.
-  const int width =
-      alive_.size() >= kTeamMinBalls ? intra_run_threads() : 1;
-  const TeamRegion region(team(width));
-
-  // Server churn: healthy servers fail independently.
-  if (params_.server_failure_rate > 0.0) {
-    parallel_for(0, n_servers, [&](std::size_t ui) {
-      if (failed_[ui]) return;
-      const double coin = rng_.uniform01(kFailureStreamBase + ui, round_);
-      if (coin < params_.server_failure_rate) failed_[ui] = 1;
-    });
-  }
-
-  // Phase 1 via the shared atomic-free radix scatter (same counter-based
-  // draws, plain per-server adds; no touch-lists -- the dynamic loop
-  // always scans all servers because churn coins touch them anyway).
-  // Stored mode hands the scatter raw CSR addresses; implicit mode
-  // regenerates rows and pipelines resolved servers through a ring (see
-  // ImplicitStepSampler).  Same draws, same targets either way.
-  const std::size_t m = alive_.size();
-  const ScatterLayout layout =
-      scatter_layout(m, n_servers, static_cast<std::size_t>(parallel_width()));
-  const auto run_scatter = [&](auto&& sampler) {
-    scatter_count(layout, scatter_, m, round_recv_.data(), false, sampler,
-                  [&](std::size_t i, NodeId u) { target_[i] = u; },
-                  [](std::size_t, NodeId) {});
-  };
+  const std::uint64_t backlog_before = ws_.alive.size();
   if (graph_ != nullptr) {
-    run_scatter([&](std::size_t i) {
-      const BallId b = alive_[i];
-      const auto v = static_cast<NodeId>(by_d_.quotient(b));
-      const std::uint32_t deg = graph_->client_degree(v);
-      const std::uint64_t k = rng_.bounded(b, round_, deg);
-      return graph_->client_neighbors(v).data() + k;
-    });
+    play_round(StoredSource{*graph_}, now_us);
   } else {
-    run_scatter(
-        ImplicitStepSampler{&*topo_, alive_.data(), &rng_, by_d_, round_});
+    play_round(ImplicitSource{*topo_}, now_us);
   }
-
-  parallel_for(0, n_servers, [&](std::size_t ui) {
-    const std::uint32_t rr = round_recv_[ui];
-    std::uint8_t flag = 0;
-    if (rr != 0) {
-      recv_total_[ui] += rr;
-      if (failed_[ui]) {
-        // Failed servers answer nothing; clients treat it as a reject.
-      } else if (params_.base.protocol == Protocol::kSaer) {
-        if (!burned_[ui]) {
-          if (recv_total_[ui] > cap_) {
-            burned_[ui] = 1;
-          } else {
-            accepted_[ui] += rr;
-            flag = 1;
-          }
-        }
-      } else {
-        if (accepted_[ui] + rr <= cap_) {
-          accepted_[ui] += rr;
-          flag = 1;
-        }
-      }
-    }
-    accept_flag_[ui] = flag;
-  });
-
-  next_alive_.clear();
-  for (std::size_t i = 0; i < m; ++i) {
-    const BallId b = alive_[i];
-    if (accept_flag_[target_[i]]) {
-      const std::uint32_t lat = round_ - activation_round_[b] + 1;
-      latency_rounds_.add(lat);
-      latency_sum_ += lat;
-      latency_max_ = std::max(latency_max_, lat);
-      const auto v = static_cast<NodeId>(by_d_.quotient(b));
-      latency_us_.add(static_cast<std::int64_t>(now_us - stamp_us_[v]));
-      ++settled_balls_;
-    } else {
-      next_alive_.push_back(b);
-    }
-  }
-  work_messages_ += 2 * static_cast<std::uint64_t>(m);
-  alive_.swap(next_alive_);
-
-  parallel_for(0, n_servers, [&](std::size_t ui) { round_recv_[ui] = 0; });
-
-  const std::uint64_t max_load = parallel_reduce_max_u64(
-      0, n_servers, [&](std::size_t ui) { return accepted_[ui]; });
-  max_load_series_.push_back(max_load);
-  backlog_series_.push_back(alive_.size());
+  max_load_series_.push_back(max_load_);
+  backlog_series_.push_back(ws_.alive.size());
 
   DynamicStepStats stats;
   stats.round = round_;
   stats.activated_balls = activated_this_step_;
-  stats.settled_balls = m - alive_.size();
-  stats.backlog = alive_.size();
-  stats.max_load = max_load;
+  stats.settled_balls = backlog_before - ws_.alive.size();
+  stats.backlog = ws_.alive.size();
+  stats.max_load = max_load_;
   return stats;
 }
 
 ServiceMetrics DynamicEngine::snapshot() const {
-  const NodeId n_servers = n_servers_;
   ServiceMetrics out;
   out.round = round_;
   out.injected_clients = next_client_;
   out.injected_balls =
       static_cast<std::uint64_t>(next_client_) * params_.base.d;
   out.assigned_balls = settled_balls_;
-  out.backlog = alive_.size();
+  out.backlog = ws_.alive.size();
   out.work_messages = work_messages_;
+  out.max_load = max_load_;
+  out.burned_servers = burned_servers_;
+  out.failed_servers = failed_servers_;
   out.latency_rounds = latency_rounds_;
   out.latency_us = latency_us_;
-  for (NodeId u = 0; u < n_servers; ++u) {
-    out.max_load = std::max<std::uint64_t>(out.max_load, accepted_[u]);
-    out.burned_servers += burned_[u];
-    out.failed_servers += failed_[u];
-    out.server_load.add(accepted_[u]);
-  }
-  out.alive_servers =
-      n_servers - out.burned_servers - out.failed_servers +
-      [&] {  // burned AND failed servers must not be subtracted twice
-        std::uint64_t both = 0;
-        for (NodeId u = 0; u < n_servers; ++u)
-          both += (burned_[u] && failed_[u]) ? 1 : 0;
-        return both;
-      }();
-  out.mean_load = n_servers == 0
+  out.mean_load = n_servers_ == 0
                       ? 0.0
                       : static_cast<double>(settled_balls_) /
-                            static_cast<double>(n_servers);
+                            static_cast<double>(n_servers_);
   return out;
 }
 
 DynamicResult DynamicEngine::result(std::uint32_t reported_rounds) const {
-  const NodeId n_servers = n_servers_;
   DynamicResult res;
   res.total_balls =
       static_cast<std::uint64_t>(n_clients_) * params_.base.d;
   res.rounds = reported_rounds;
-  res.unassigned_balls = alive_.size();
-  res.completed = alive_.empty() && pending_total_ == 0 &&
+  res.unassigned_balls = ws_.alive.size();
+  res.completed = ws_.alive.empty() && pending_total_ == 0 &&
                   next_client_ == n_clients_;
   res.work_messages = work_messages_;
-  for (NodeId u = 0; u < n_servers; ++u) {
-    res.max_load = std::max<std::uint64_t>(res.max_load, accepted_[u]);
-    res.burned_servers += burned_[u];
-    res.failed_servers += failed_[u];
-  }
+  res.max_load = max_load_;
+  res.burned_servers = burned_servers_;
+  res.failed_servers = failed_servers_;
   if (!latency_rounds_.empty()) {
     res.latency_mean =
         latency_sum_ / static_cast<double>(latency_rounds_.total());

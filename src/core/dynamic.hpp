@@ -28,15 +28,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "core/scatter.hpp"
+#include "core/workspace.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "graph/implicit_topology.hpp"
-#include "util/fastdiv.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 
@@ -91,14 +89,11 @@ struct ServiceMetrics {
   double mean_load = 0;                ///< assigned_balls / num_servers
   std::uint64_t burned_servers = 0;
   std::uint64_t failed_servers = 0;
-  std::uint64_t alive_servers = 0;     ///< neither burned nor failed
   /// Settle latency of assigned balls, in rounds from activation.
   IntHistogram latency_rounds;
   /// Settle latency in microseconds (now_us at settle minus the inject
   /// stamp), binned by DynamicParams::latency_bucket_us.
   IntHistogram latency_us;
-  /// Accepted-ball count per server (the load distribution).
-  IntHistogram server_load;
 };
 
 /// One round's summary, returned by DynamicEngine::step.
@@ -113,10 +108,16 @@ struct DynamicStepStats {
 /// Incremental dynamic-process engine.  Clients activate in id order: each
 /// inject() queues the next `count` client ids, which enter the protocol
 /// at the start of the next step().  step() runs exactly one round:
-/// activation, churn coins, phase 1 submissions, phase 2 verdicts, and
+/// activation, churn coins, then one round of the batch engine's kernel
+/// (core/round.hpp) -- phase 1 submissions, phase 2 verdicts -- and
 /// settlement bookkeeping.  Stepping past the round in which everything
 /// settled is valid (churn continues, nothing else happens), which is what
 /// a quiescent service does between arrival bursts.
+///
+/// A step costs O(alive + touched servers): the kernel visits only the
+/// servers this round's balls reached, and max load, burned and failed
+/// servers are running totals.  The one O(num_servers) pass is the churn
+/// coin flip, and it runs only with a failure rate above 0.
 class DynamicEngine {
  public:
   /// Validates parameters and captures the graph by reference (it must
@@ -144,7 +145,9 @@ class DynamicEngine {
   DynamicStepStats step(std::uint64_t now_us = 0);
 
   [[nodiscard]] std::uint32_t round() const noexcept { return round_; }
-  [[nodiscard]] std::uint64_t backlog() const noexcept { return alive_.size(); }
+  [[nodiscard]] std::uint64_t backlog() const noexcept {
+    return ws_.alive.size();
+  }
   [[nodiscard]] NodeId injected_clients() const noexcept {
     return next_client_;
   }
@@ -157,7 +160,7 @@ class DynamicEngine {
   /// drained() and the whole graph has been injected.
   [[nodiscard]] bool exhausted() const noexcept;
 
-  /// Current service observables (O(num_servers) scan).
+  /// Current service observables (no per-server pass).
   [[nodiscard]] ServiceMetrics snapshot() const;
 
   /// Batch-result view of the engine state; `reported_rounds` is the round
@@ -172,25 +175,25 @@ class DynamicEngine {
   };
 
   /// Shared second-stage construction: validates params, runs the stored
-  /// mode's reachability audit, and sizes every buffer from the cached
+  /// mode's reachability audit, and sizes the workspace from the cached
   /// n_clients_ / n_servers_.
   void init();
   void activate_pending();
-  /// Lazily (re)built persistent intra-run team, mirroring
-  /// EngineWorkspace::team -- `saer serve` steps inherit the same parallel
-  /// round loops as batch runs.  Null when threads <= 1.
-  [[nodiscard]] ThreadTeam* team(int threads);
+  /// Server churn: every healthy server fails with the configured rate.
+  void fail_servers();
+  /// One kernel round over the alive balls on `source`; settles the
+  /// accepted ones.
+  template <class Source>
+  void play_round(const Source& source, std::uint64_t now_us);
 
   /// Exactly one of graph_ / topo_ is set: stored mode samples CSR rows,
-  /// implicit mode regenerates them (see step()'s Phase-1 dispatch).
+  /// implicit mode regenerates them (see step()).
   const BipartiteGraph* graph_ = nullptr;
   std::optional<ImplicitRegularTopology> topo_;
   NodeId n_clients_ = 0;
   NodeId n_servers_ = 0;
   DynamicParams params_;
   CounterRng rng_;
-  std::uint64_t cap_ = 0;
-  FastDiv32 by_d_;
 
   std::uint32_t round_ = 0;
   NodeId next_client_ = 0;       ///< clients activated so far
@@ -198,30 +201,23 @@ class DynamicEngine {
   std::deque<PendingBatch> pending_;
   std::uint64_t activated_this_step_ = 0;
 
-  std::vector<BallId> alive_;
-  std::vector<BallId> next_alive_;
-  std::vector<NodeId> target_;
-  std::vector<std::uint32_t> activation_round_;
+  /// Server state, the alive list (ws_.alive) and the round buffers.
+  /// Owned for the engine's life, so it never returns to pristine.
+  EngineWorkspace ws_;
+  std::vector<std::uint32_t> activation_round_;  ///< per ball
   std::vector<std::uint64_t> stamp_us_;  ///< per client, set at activation
-
-  std::vector<std::uint32_t> round_recv_;
-  std::vector<std::uint64_t> recv_total_;
-  ScatterScratch scatter_;
-  std::vector<std::uint32_t> accepted_;
-  std::vector<std::uint8_t> burned_;
-  std::vector<std::uint8_t> failed_;
-  std::vector<std::uint8_t> accept_flag_;
 
   std::uint64_t work_messages_ = 0;
   std::uint64_t settled_balls_ = 0;
+  std::uint64_t max_load_ = 0;
+  std::uint64_t burned_servers_ = 0;
+  std::uint64_t failed_servers_ = 0;
   IntHistogram latency_rounds_;
   IntHistogram latency_us_;
   double latency_sum_ = 0;
   std::uint32_t latency_max_ = 0;
   std::vector<std::uint64_t> max_load_series_;
   std::vector<std::uint64_t> backlog_series_;
-
-  std::unique_ptr<ThreadTeam> team_;  ///< see team()
 };
 
 /// Runs the dynamic process.  Ball b of client v activates in round

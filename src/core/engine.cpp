@@ -1,227 +1,26 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
-#include "core/scatter.hpp"
+#include "core/round.hpp"
 #include "core/workspace.hpp"
 #include "graph/implicit_topology.hpp"
-#include "util/fastdiv.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 
 namespace saer {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Per-server cumulative counter policies (Definition 3 state).
-//
-// recv_total is never part of RunResult; it is only observed through
-//   (a) the SAER burn comparison `recv_total > cap` on a not-yet-burned
-//       server, and (b) the exact neighborhood sums of deep_scan.
-// Recv32 exploits (a): a saturating u32 add keeps the comparison exact --
-// before a server burns its total is <= cap < 2^32-1, and once an add
-// wraps or exceeds cap the saturated value is still > cap, so the verdict
-// (and every downstream bit) is identical to exact u64 arithmetic.  After
-// the burn the value is never read again.  Runs that need (b), or a
-// capacity too large for the u32 comparison, select Recv64.  The engine
-// dispatches on this once per run; results are bit-identical either way.
-// ---------------------------------------------------------------------------
-
-struct Recv32 {
-  std::uint32_t* v;
-  void add(NodeId u, std::uint32_t rr) const {
-    const std::uint32_t sum = v[u] + rr;
-    v[u] = sum < v[u] ? std::numeric_limits<std::uint32_t>::max() : sum;
-  }
-  [[nodiscard]] std::uint64_t get(NodeId u) const { return v[u]; }
-  void clear(NodeId u) const { v[u] = 0; }
-  void clear_all(NodeId n) const { std::fill(v, v + n, 0u); }
-};
-
-struct Recv64 {
-  std::uint64_t* v;
-  void add(NodeId u, std::uint32_t rr) const { v[u] += rr; }
-  [[nodiscard]] std::uint64_t get(NodeId u) const { return v[u]; }
-  void clear(NodeId u) const { v[u] = 0; }
-  void clear_all(NodeId n) const { std::fill(v, v + n, std::uint64_t{0}); }
-};
-
-/// Selects Recv64: deep_scan needs exact cumulative sums, and a capacity
-/// at the u32 limit would break the saturating comparison.
+/// Selects Recv64: the deep-trace scan needs exact cumulative sums, and a
+/// capacity at the u32 limit would break the saturating comparison.
 bool needs_wide_recv_total(const ProtocolParams& params) {
   return params.deep_trace ||
          params.capacity() >=
              std::numeric_limits<std::uint32_t>::max();
 }
-
-// ---------------------------------------------------------------------------
-// Neighborhood sources.  Every place the round loop touches topology --
-// the Phase-1 scatter samplers, the round-1 client-major sampler, and
-// deep_scan -- goes through one of these two policies:
-//
-//   StoredSource    wraps a BipartiteGraph; a client's row is its stable
-//                   CSR span, so samplers hand the scatter pipeline raw
-//                   row addresses (`base + k`).
-//   ImplicitSource  wraps an ImplicitRegularTopology; a client's row is
-//                   regenerated on demand (O(Delta) counter-RNG draws, no
-//                   edge arrays) into a per-chunk workspace buffer, and --
-//                   because scatter_count dereferences an addr_of result up
-//                   to kScatterPipeline calls later, after the buffer may
-//                   hold a different client's row -- the sampled server is
-//                   resolved immediately and parked in a pipeline-deep ring
-//                   whose slot is what the scatter dereferences.
-//
-// Both expose the same cursor shape (load a client, address draw k), so
-// run_rounds instantiates once per source and the instruction stream of
-// the stored path is unchanged.  The implicit rows are regenerated sorted
-// and equal to the materialized twin's CSR rows element for element, so
-// the engine's draw `rng.bounded(ball, round, deg)` selects the identical
-// server either way: runs are bit-identical, which the golden twin tests
-// enforce across team widths and protocols.
-// ---------------------------------------------------------------------------
-
-struct StoredSource {
-  const BipartiteGraph& graph;
-
-  [[nodiscard]] NodeId num_clients() const { return graph.num_clients(); }
-  [[nodiscard]] NodeId num_servers() const { return graph.num_servers(); }
-
-  /// Sequential sampling cursor: caches one client's CSR row.  Addresses
-  /// point into the graph's adjacency and outlive the scatter pipeline
-  /// trivially.
-  struct Cursor {
-    const BipartiteGraph* g;
-    const NodeId* base = nullptr;
-    std::uint32_t deg = 0;
-
-    void load(NodeId v, std::size_t /*pos*/) {
-      const auto nb = g->client_neighbors(v);
-      base = nb.data();
-      deg = static_cast<std::uint32_t>(nb.size());
-    }
-    [[nodiscard]] const NodeId* addr(std::size_t /*pos*/,
-                                     std::uint64_t k) const {
-      return base + k;
-    }
-  };
-  [[nodiscard]] Cursor cursor(const ScatterLayout&, EngineWorkspace&) const {
-    return Cursor{&graph};
-  }
-
-  /// deep_scan row access (invoked from parallel_reduce workers).
-  [[nodiscard]] std::span<const NodeId> scan_row(NodeId v) const {
-    return graph.client_neighbors(v);
-  }
-};
-
-struct ImplicitSource {
-  const ImplicitRegularTopology& topo;
-
-  [[nodiscard]] NodeId num_clients() const { return topo.num_clients(); }
-  [[nodiscard]] NodeId num_servers() const { return topo.num_servers(); }
-
-  /// Regenerating cursor.  scatter_count copies its sampler per chunk and
-  /// feeds each copy its chunk's positions in ascending order, so the copy
-  /// binds to its chunk's workspace row buffer on first use (ci = pos /
-  /// chunk_size) -- concurrent chunks never share a buffer, and reuse
-  /// across rounds/runs means steady-state regeneration allocates nothing.
-  struct Cursor {
-    const ImplicitRegularTopology* topo;
-    std::vector<NodeId>* rows;    ///< ws.implicit_rows.data()
-    std::size_t chunk_size;
-    std::vector<NodeId>* row = nullptr;  ///< this copy's chunk buffer
-    std::uint32_t deg = 0;
-    /// Resolved samples, kScatterPipeline deep (see core/scatter.hpp): a
-    /// slot is overwritten only after every dereference of its previous
-    /// occupant has happened.
-    std::array<NodeId, kScatterPipeline> ring;
-
-    void load(NodeId v, std::size_t pos) {
-      if (row == nullptr) row = rows + pos / chunk_size;
-      topo->neighbors(v, *row);
-      deg = topo->degree();
-    }
-    [[nodiscard]] const NodeId* addr(std::size_t pos, std::uint64_t k) {
-      NodeId& slot = ring[pos % kScatterPipeline];
-      slot = (*row)[k];
-      return &slot;
-    }
-  };
-  [[nodiscard]] Cursor cursor(const ScatterLayout& layout,
-                              EngineWorkspace& ws) const {
-    return Cursor{&topo, ws.implicit_rows.data(), layout.chunk_size};
-  }
-
-  /// deep_scan row access: regenerates into a per-thread scratch row (the
-  /// reduction lambdas are shared by-ref across team workers, so per-call
-  /// state must be thread-local).  The span is valid until the same thread
-  /// scans its next client, which is exactly the reduction body's lifetime.
-  [[nodiscard]] std::span<const NodeId> scan_row(NodeId v) const {
-    thread_local std::vector<NodeId> scratch;
-    topo.neighbors(v, scratch);
-    return {scratch.data(), scratch.size()};
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Ball -> client maps.  The uniform-demand map is implicit (ball b belongs
-// to client b / d, computed with an exact reciprocal) so the engine never
-// materializes the O(n*d) vector the seed engine allocated per run; the
-// heterogeneous-demand entry point keeps its explicit map.
-// ---------------------------------------------------------------------------
-
-struct UniformBallClient {
-  FastDiv32 div;
-  explicit UniformBallClient(std::uint32_t d) : div(d) {}
-  [[nodiscard]] NodeId operator()(BallId b) const {
-    return static_cast<NodeId>(div.quotient(b));
-  }
-};
-
-/// Round-1 sampler for the uniform map: ball b == position i, and positions
-/// arrive in ascending order (per chunk), so the client advances every d
-/// balls with no division and one cursor load per client.  Same draws,
-/// same targets -- just the cheapest way to walk an identity round.
-template <class Cursor>
-struct UniformRound1Sampler {
-  const CounterRng& rng;
-  std::uint32_t d;
-  Cursor cursor;
-  NodeId v = 0;
-  std::uint32_t used = 0;
-  bool primed = false;
-
-  const NodeId* operator()(std::size_t i) {
-    if (!primed) {
-      primed = true;
-      v = static_cast<NodeId>(i / d);
-      used = static_cast<std::uint32_t>(i - static_cast<std::uint64_t>(v) * d);
-      cursor.load(v, i);
-    } else if (used == d) {
-      ++v;
-      used = 0;
-      cursor.load(v, i);
-    }
-    ++used;
-    return cursor.addr(i, rng.bounded(i, 1, cursor.deg));
-  }
-};
-
-template <class Cursor>
-UniformRound1Sampler(const CounterRng&, std::uint32_t, Cursor)
-    -> UniformRound1Sampler<Cursor>;
-
-struct ExplicitBallClient {
-  const NodeId* map;
-  [[nodiscard]] NodeId operator()(BallId b) const { return map[b]; }
-};
 
 /// Deep-trace scan: computes the paper's neighborhood maxima
 /// (Definitions 3, 5, 6) from the plain per-server round counts and exact
@@ -272,32 +71,12 @@ DeepMetrics deep_scan(const Source& src, const std::uint32_t* round_recv,
   return m;
 }
 
-/// Balls below which a run skips the intra-run team entirely: a run this
-/// short finishes in the time the team's fork-join barriers would cost,
-/// and workspace-less callers would pay a thread spawn per run.  Purely a
-/// scheduling decision -- results are bit-identical either way.
-constexpr std::uint64_t kIntraRunMinBalls = 1ULL << 15;
-
-/// Shared round loop over any ball -> client map and cumulative-counter
-/// policy.
-///
-/// Output-sensitive: in sparse rounds (alive count below a fraction of
-/// n_servers) the radix merge records the deduplicated per-block sets of
-/// servers that received at least one ball, and every server-side pass of
-/// the round -- acceptance, counter reset, r_max -- visits only those
-/// sets.  Late rounds therefore cost O(alive + touched), matching the
-/// paper's geometrically shrinking alive set, instead of O(n_servers).
-/// Dense rounds keep the full block-range scans, which beat scattered
-/// accesses when most servers are touched anyway.  Either way every
-/// per-server verdict is computed identically and all cross-server totals
-/// are exact integer folds, so results are bit-identical for either path,
-/// any layout, and any thread count.
+/// The batch engine: every ball is alive from round 1, and rounds of the
+/// shared kernel (core/round.hpp) run until all settle or the round cap.
 template <class Source, class BallClient, class Recv>
 RunResult run_rounds(const Source& source, const ProtocolParams& params,
                      std::uint64_t total_balls, const BallClient& ball_client,
                      const Recv& recv, EngineWorkspace& ws) {
-  const NodeId n_servers = source.num_servers();
-  const std::uint64_t cap = params.capacity();
   const std::uint32_t max_rounds =
       params.max_rounds
           ? params.max_rounds
@@ -307,253 +86,49 @@ RunResult run_rounds(const Source& source, const ProtocolParams& params,
   res.total_balls = total_balls;
   if (params.store_assignment) res.assignment.assign(total_balls, kUnassigned);
 
-  const CounterRng rng(params.seed);
-
-  std::vector<BallId>& alive = ws.alive;
-  std::vector<BallId>& next_alive = ws.next_alive;
-  std::vector<NodeId>& target = ws.target;
-  std::uint32_t* const round_recv = ws.round_recv.data();
-  std::uint32_t* const accepted = ws.accepted.data();
-  std::uint8_t* const flags = ws.flags.data();
-
-  // A round is "sparse" when the alive set is small enough that visiting
-  // only touched servers (scattered accesses + touch-list upkeep) beats the
-  // block-range scans.  The verdict, reset, and r_max work is the same
-  // either way, so the threshold affects speed only, never results.
-  const auto sparse_threshold = static_cast<std::size_t>(n_servers / 8);
-
-  bool used_dense = false;
+  RoundKernel<Source, BallClient, Recv> kernel(source, ball_client, recv,
+                                               params, ws);
   std::uint64_t burned_total = 0;
   std::uint32_t round = 0;
   // Round 1's alive list is the identity permutation, so it is never
-  // materialized: `balls == nullptr` makes ball_at(i) = i.  Later rounds
-  // swap in the survivor list.
+  // materialized: the kernel reads a null list as ball i at position i.
+  // Later rounds read the survivor list.
   std::size_t alive_count = total_balls;
   while (alive_count > 0 && round < max_rounds) {
     ++round;
     const std::size_t m = alive_count;
-    const BallId* const balls = round == 1 ? nullptr : alive.data();
-    const auto ball_at = [balls](std::size_t i) {
-      return balls ? balls[i] : static_cast<BallId>(i);
-    };
-    const bool sparse = m < sparse_threshold;
-    const ScatterLayout layout = scatter_layout(
-        m, n_servers, static_cast<std::size_t>(parallel_width()));
-    ws.prepare_round(layout);
-
-    // Phases 1+2, pipelined per block: every alive ball contacts a uniform
-    // random neighbor of its client (independent, with replacement --
-    // Algorithm 1, lines 2-5), and the scatter-count computes the
-    // per-server received counts with plain adds (core/scatter.hpp).  In
-    // sparse rounds the merge's 0->1 transitions emit the touch-lists and
-    // extend the run-lifetime dirty set (servers whose counters must be
-    // re-zeroed before workspace reuse) as a side effect of the same pass.
-    // The Phase-2 serve/reset of a block rides the block's merge task (the
-    // `serve_block` epilogue below), so servers are judged while their
-    // counters are still hot in the merging worker's cache and no barrier
-    // separates the phases.
-    if (sparse) {
-      for (std::size_t bl = 0; bl < layout.n_blocks; ++bl)
-        ws.touched_blocks[bl].clear();
-    }
-    // The client's neighborhood is cached across consecutive balls of the
-    // same client (uniform demand visits each client's d balls back to
-    // back), so the cursor load is paid once per client, not per ball.
-    // Pure caching: the draws and targets are unchanged.
-    const auto sample_addr =
-        [&, cursor = source.cursor(layout, ws),
-         cached_v = kUnassigned](std::size_t i) mutable {
-          const BallId b = ball_at(i);
-          const NodeId v = ball_client(b);
-          if (v != cached_v) {
-            cached_v = v;
-            cursor.load(v, i);
-          }
-          return cursor.addr(i, rng.bounded(b, round, cursor.deg));
-        };
-    const auto on_target = [&](std::size_t i, NodeId u) { target[i] = u; };
-    const auto on_first_touch = [&](std::size_t bl, NodeId u) {
-      ws.touched_blocks[bl].push_back(u);
-      if (!(flags[u] & kServerDirty)) {
-        flags[u] |= kServerDirty;
-        ws.dirty_blocks[bl].push_back(u);
-      }
-    };
-
-    // Phase 2: servers accept or reject the whole round (Algorithm 1,
-    // lines 6-17).  Each block serves its own servers and folds its round
-    // statistics into a private RoundBlockStats slot; the acceptance rule
-    // for one server is identical in both paths, and sparse rounds just
-    // skip servers that received nothing (no ball will read their
-    // verdict).
-    const auto serve = [&](NodeId ui, std::uint32_t rr, RoundBlockStats& s) {
-      std::uint8_t f = flags[ui] & static_cast<std::uint8_t>(~kServerAccepted);
-      recv.add(ui, rr);  // counts toward Definition 3 regardless of verdict
-      if (rr > s.r_max_server) s.r_max_server = rr;
-      if (params.protocol == Protocol::kSaer) {
-        if (f & kServerBurned) {
-          ++s.saturated;
-        } else if (recv.get(ui) > cap) {
-          f |= kServerBurned;
-          ++s.newly_burned;
-          ++s.saturated;
-        } else {
-          accepted[ui] += rr;
-          s.accepted += rr;
-          f |= kServerAccepted;
-        }
-      } else {  // RAES: reject only if accepting would exceed capacity
-        if (accepted[ui] + rr > cap) {
-          ++s.saturated;
-        } else {
-          accepted[ui] += rr;
-          s.accepted += rr;
-          f |= kServerAccepted;
-        }
-      }
-      flags[ui] = f;
-    };
-    // Unless deep_trace still needs this round's counters for its O(E)
-    // scan, the counter reset rides along with the verdict pass (the
-    // cache lines are hot); round_recv is not otherwise observable, so
-    // fusing changes no result bit.
-    const bool fused_reset = !params.deep_trace;
-    const auto serve_block = [&](std::size_t bl) {
-      RoundBlockStats s;
-      if (sparse) {
-        for (const NodeId ui : ws.touched_blocks[bl]) {
-          serve(ui, round_recv[ui], s);
-          if (fused_reset) round_recv[ui] = 0;
-        }
-      } else {
-        const std::size_t hi = layout.block_end(bl, n_servers);
-        for (std::size_t ui = layout.block_begin(bl); ui < hi; ++ui) {
-          const std::uint32_t rr = round_recv[ui];
-          if (rr != 0) {
-            serve(static_cast<NodeId>(ui), rr, s);
-            if (fused_reset) round_recv[ui] = 0;
-          }
-        }
-      }
-      ws.block_stats[bl] = s;
-    };
-    // Single-chunk rounds call the count-only scatter and serve inline
-    // afterwards: fusing serve_block into the scatter instantiation is
-    // only useful when blocks merge concurrently, and keeping the serial
-    // 3-sweep pipeline in its own lean instantiation preserves its
-    // codegen (measured ~10% on small-n runs).
-    const auto scatter_round = [&](auto&& sampler) {
-      if (layout.n_chunks == 1) {
-        scatter_count(layout, ws.scatter, m, round_recv, sparse, sampler,
-                      on_target, on_first_touch);
-        serve_block(0);
-      } else {
-        scatter_count(layout, ws.scatter, m, round_recv, sparse, sampler,
-                      on_target, on_first_touch, serve_block);
-      }
-    };
-    if constexpr (std::is_same_v<BallClient, UniformBallClient>) {
-      if (round == 1) {
-        scatter_round(
-            UniformRound1Sampler{rng, params.d, source.cursor(layout, ws)});
-      } else {
-        scatter_round(sample_addr);
-      }
-    } else {
-      scatter_round(sample_addr);
-    }
+    const RoundBlockStats s = kernel.serve(
+        round, round == 1 ? nullptr : ws.alive.data(), m, params.deep_trace);
 
     RoundStats stats;
     stats.round = round;
     stats.alive_begin = m;
     stats.submitted = m;
-    for (std::size_t bl = 0; bl < layout.n_blocks; ++bl) {
-      const RoundBlockStats& s = ws.block_stats[bl];
-      stats.accepted += s.accepted;
-      stats.newly_burned += s.newly_burned;
-      stats.saturated += s.saturated;
-      stats.r_max_server = std::max(stats.r_max_server, s.r_max_server);
-    }
+    stats.accepted = s.accepted;
+    stats.newly_burned = s.newly_burned;
+    stats.saturated = s.saturated;
+    stats.r_max_server = s.r_max_server;
     res.work_messages += 2 * static_cast<std::uint64_t>(m);
-    burned_total += stats.newly_burned;
+    res.max_load = std::max(res.max_load, s.max_load);
+    burned_total += s.newly_burned;
     stats.burned_total = burned_total;
 
     if (params.deep_trace) {
-      const DeepMetrics dm = deep_scan(source, round_recv, recv, flags, cap);
+      const DeepMetrics dm = deep_scan(source, ws.round_recv.data(), recv,
+                                       ws.flags.data(), params.capacity());
       stats.s_max = dm.s_max;
       stats.k_max = dm.k_max;
       stats.r_max_neighborhood = dm.r_max_neighborhood;
+      kernel.reset_counts();
     }
 
-    // Phase 2 epilogue: clients read the Boolean verdicts
-    // (Algorithm 1, lines 18-23).  Chunks emit survivors into their own
-    // buffer; concatenation in chunk order equals the ball-index order.
-    // Single-chunk rounds emit straight into next_alive.
-    const auto emit_with = [&](std::vector<BallId>& survivors, std::size_t lo,
-                               std::size_t hi, auto get_ball) {
-      if (params.store_assignment) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const BallId b = get_ball(i);
-          const NodeId u = target[i];
-          if (flags[u] & kServerAccepted) {
-            res.assignment[b] = u;
-          } else {
-            survivors.push_back(b);
-          }
-        }
-      } else {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!(flags[target[i]] & kServerAccepted))
-            survivors.push_back(get_ball(i));
-        }
-      }
-    };
-    const auto emit_survivors = [&](std::vector<BallId>& survivors,
-                                    std::size_t lo, std::size_t hi) {
-      if (balls) {
-        emit_with(survivors, lo, hi,
-                  [balls](std::size_t i) { return balls[i]; });
-      } else {
-        emit_with(survivors, lo, hi,
-                  [](std::size_t i) { return static_cast<BallId>(i); });
-      }
-    };
-    next_alive.clear();
-    if (layout.n_chunks == 1) {
-      emit_survivors(next_alive, 0, m);
+    if (params.store_assignment) {
+      kernel.emit(/*in_order=*/false,
+                  [&res](BallId b, NodeId u) { res.assignment[b] = u; });
     } else {
-      parallel_for(0, layout.n_chunks, [&](std::size_t ci) {
-        std::vector<BallId>& survivors = ws.alive_chunks[ci];
-        survivors.clear();
-        const std::size_t lo = ci * layout.chunk_size;
-        emit_survivors(survivors, lo, std::min(m, lo + layout.chunk_size));
-      });
-      for (std::size_t ci = 0; ci < layout.n_chunks; ++ci) {
-        const std::vector<BallId>& survivors = ws.alive_chunks[ci];
-        next_alive.insert(next_alive.end(), survivors.begin(),
-                          survivors.end());
-      }
+      kernel.emit(/*in_order=*/false, [](BallId, NodeId) {});
     }
-    alive.swap(next_alive);
-    alive_count = alive.size();
-
-    // Reset the round counters (only touched servers are non-zero) unless
-    // the verdict pass already did.
-    if (sparse) {
-      if (!fused_reset) {
-        parallel_for(0, layout.n_blocks, [&](std::size_t bl) {
-          for (const NodeId ui : ws.touched_blocks[bl]) round_recv[ui] = 0;
-        });
-      }
-    } else {
-      used_dense = true;
-      if (!fused_reset) {
-        parallel_for(0, layout.n_blocks, [&](std::size_t bl) {
-          std::fill(round_recv + layout.block_begin(bl),
-                    round_recv + layout.block_end(bl, n_servers), 0u);
-        });
-      }
-    }
+    alive_count = ws.alive.size();
 
     if (params.record_trace) res.trace.push_back(stats);
   }
@@ -561,36 +136,10 @@ RunResult run_rounds(const Source& source, const ProtocolParams& params,
   res.completed = alive_count == 0;
   res.rounds = round;
   res.alive_balls = alive_count;
-  res.loads.assign(ws.accepted.begin(), ws.accepted.begin() + n_servers);
-  res.max_load = parallel_reduce_max_u64(
-      0, n_servers, [&](std::size_t u) { return accepted[u]; });
+  res.loads.assign(ws.accepted.begin(),
+                   ws.accepted.begin() + source.num_servers());
   res.burned_servers = burned_total;
-
-  // Restore the workspace's pristine invariant: round_recv is already zero
-  // (reset every round), so only the cumulative state remains.  Dense
-  // rounds don't track dirty servers, so any dense round forces the
-  // full-range clears (parallel over servers); all-sparse runs pay only
-  // O(dirty), parallel over the per-block dirty lists (each list owns its
-  // block's servers, so the clears never race).
-  if (used_dense) {
-    parallel_for(0, n_servers, [&](std::size_t ui) {
-      const auto u = static_cast<NodeId>(ui);
-      recv.clear(u);
-      accepted[u] = 0;
-      flags[u] = 0;
-    });
-    for (std::vector<NodeId>& block : ws.dirty_blocks) block.clear();
-  } else {
-    parallel_for(0, ws.dirty_blocks.size(), [&](std::size_t bl) {
-      std::vector<NodeId>& block = ws.dirty_blocks[bl];
-      for (const NodeId u : block) {
-        recv.clear(u);
-        accepted[u] = 0;
-        flags[u] = 0;
-      }
-      block.clear();
-    });
-  }
+  kernel.restore_pristine();
   return res;
 }
 

@@ -3,7 +3,8 @@
 //
 // The engine simulates the model of Section 2.1 (one Phase-1 submission
 // plus one Boolean Phase-2 reply per alive ball per round) but executes it
-// as three data-parallel passes per round:
+// as three data-parallel passes per round -- the round kernel of
+// core/round.hpp, which DynamicEngine (`saer serve`) steps through too:
 //
 //   pass 1 (balls):   every alive ball samples a uniform neighbor of its
 //                     client; the per-server received counts are computed
@@ -68,8 +69,8 @@
 //    std::chrono::*::now() outside the allowlisted pacing modules; every
 //    random draw goes through util/rng's counter RNG;
 //  * no-atomic -- src/ stays atomic-free (the scatter above needs none;
-//    the only allowlisted users are util/log.cpp and util/parallel.cpp,
-//    which never sit on a result path);
+//    the thread-budget globals in util/parallel.cpp and the signal flags
+//    never sit on a result path);
 //  * unordered-iter -- unordered-container iteration order never reaches
 //    an emit/result path;
 //  * jsonl-key-order -- the sim/run_record.cpp emitters, their strict

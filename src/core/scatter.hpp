@@ -85,8 +85,8 @@ inline constexpr std::size_t kScatterMinGrain = 1024;
 /// returned by `addr_of(i)` is dereferenced only after up to
 /// kScatterPipeline further addr_of calls have run (the prefetch sweeps
 /// below).  Samplers that point into stable storage (CSR rows) need not
-/// care; samplers that synthesize values -- the implicit-topology cursors
-/// in core/engine.cpp and core/dynamic.cpp -- must keep at least this many
+/// care; samplers that synthesize values -- the implicit-topology cursor
+/// in core/round.hpp -- must keep at least this many
 /// results alive, which they do with a kScatterPipeline-deep ring of
 /// resolved server ids indexed by position modulo the depth.
 inline constexpr std::size_t kScatterPipeline = 192;
@@ -192,9 +192,15 @@ void scatter_count(const ScatterLayout& layout, ScatterScratch& scratch,
         on_target(blo + j, u);
         SAER_PREFETCH(counts + u);
       }
-      for (std::size_t j = 0; j < len; ++j) {
-        const NodeId u = us[j];
-        if (counts[u]++ == 0 && record_first_touch) first_touch(0, u);
+      // Unswitched by hand: a dense round's count loop is a bare
+      // increment, whatever the compiler makes of first_touch.
+      if (record_first_touch) {
+        for (std::size_t j = 0; j < len; ++j) {
+          const NodeId u = us[j];
+          if (counts[u]++ == 0) first_touch(0, u);
+        }
+      } else {
+        for (std::size_t j = 0; j < len; ++j) ++counts[us[j]];
       }
     }
     block_done(0);
@@ -225,8 +231,14 @@ void scatter_count(const ScatterLayout& layout, ScatterScratch& scratch,
   });
   parallel_for(0, layout.n_blocks, [&](std::size_t bl) {
     for (std::size_t ci = 0; ci < layout.n_chunks; ++ci) {
-      for (const NodeId u : scratch.buckets[ci * layout.n_blocks + bl]) {
-        if (counts[u]++ == 0 && record_first_touch) first_touch(bl, u);
+      const std::vector<NodeId>& bucket =
+          scratch.buckets[ci * layout.n_blocks + bl];
+      if (record_first_touch) {
+        for (const NodeId u : bucket) {
+          if (counts[u]++ == 0) first_touch(bl, u);
+        }
+      } else {
+        for (const NodeId u : bucket) ++counts[u];
       }
     }
     block_done(bl);

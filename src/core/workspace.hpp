@@ -1,8 +1,10 @@
 #pragma once
-// Reusable per-run scratch space for the round engine (core/engine.cpp).
+// Reusable per-run scratch space for the round kernel (core/round.hpp).
 //
 // A protocol run needs the per-server SoA below, two O(alive) ball arrays,
-// and the per-chunk / per-block buffers of the radix round loop.
+// and the per-chunk / per-block buffers of the radix round loop.  The
+// batch engine (core/engine.cpp) leases one per run; a DynamicEngine
+// (core/dynamic.cpp) owns one for its whole service life.
 // Allocating (and zero-initializing) these per run dominates the cost of
 // short runs, so callers that execute many runs -- the sweep scheduler,
 // replicated experiments, benchmarks -- construct one EngineWorkspace and
@@ -15,13 +17,14 @@
 //   round_recv   u32  balls received this round (plain -- the radix merge
 //                     in core/scatter.hpp made the atomics unnecessary)
 //   recv_total32 u32  cumulative received (Definition 3), saturating --
-//                     the default width; see engine.cpp for why saturation
-//                     is unobservable
+//                     the default width; see core/round.hpp for why
+//                     saturation is unobservable
 //   recv_total64 u64  exact cumulative received; allocated only when a
 //                     run needs exact sums (deep_trace) or the capacity
 //                     does not fit the u32 comparison
 //   accepted     u32  accepted balls (the load vector)
-//   flags        u8   kServerAccepted | kServerBurned | kServerDirty
+//   flags        u8   kServerAccepted | kServerBurned | kServerDirty |
+//                     kServerFailed
 //
 // That is 13 bytes/server on the default path (vs 18 in the seed layout,
 // plus the retired O(n*d) ball->client map), which is what bounds the
@@ -44,6 +47,7 @@
 
 #include "core/protocol.hpp"
 #include "core/scatter.hpp"
+#include "util/parallel.hpp"
 
 namespace saer {
 
@@ -51,6 +55,7 @@ namespace saer {
 inline constexpr std::uint8_t kServerAccepted = 0x1;  ///< this round's verdict
 inline constexpr std::uint8_t kServerBurned = 0x2;    ///< SAER burn bit
 inline constexpr std::uint8_t kServerDirty = 0x4;     ///< touched this run
+inline constexpr std::uint8_t kServerFailed = 0x8;    ///< dynamic churn bit
 
 /// Per-block partial round statistics: each merge block folds its servers'
 /// contributions into its own cache-line-sized slot, and the engine sums
@@ -61,6 +66,7 @@ struct alignas(64) RoundBlockStats {
   std::uint64_t newly_burned = 0;
   std::uint64_t saturated = 0;
   std::uint64_t r_max_server = 0;
+  std::uint64_t max_load = 0;  ///< largest load an accept produced
 };
 
 struct EngineWorkspace {
@@ -114,12 +120,16 @@ struct EngineWorkspace {
   std::vector<RoundBlockStats> block_stats;
   std::vector<std::vector<BallId>> alive_chunks;  ///< per-chunk survivors
   /// implicit_rows[ci]: chunk ci's regenerated-neighborhood buffer for
-  /// implicit-topology runs (the ImplicitSource cursors in core/engine.cpp
+  /// implicit-topology runs (the ImplicitSource cursors in core/round.hpp
   /// bind to their chunk's slot lazily).  One buffer per scatter chunk so
   /// concurrent chunk tasks never share a row; capacity persists across
   /// rounds and runs, so steady-state regeneration allocates nothing.
-  /// Unused (and empty) for stored-graph runs.
-  std::vector<std::vector<NodeId>> implicit_rows;
+  /// Each slot sits on its own cache line: regeneration rewrites the
+  /// vector's end pointer per element, and unpadded neighbors' headers
+  /// share lines across the team's workers.  Unused (and empty) for
+  /// stored-graph runs.
+  using ImplicitRow = parallel_detail::Padded<std::vector<NodeId>>;
+  std::vector<ImplicitRow> implicit_rows;
 
  private:
   std::unique_ptr<ThreadTeam> team_;  ///< see team()

@@ -7,8 +7,7 @@
 //   * topologies:       graph/generators.hpp, graph/bipartite_graph.hpp
 //   * the protocols:    core/engine.hpp (SAER / RAES, uniform and <= d
 //                       demands), core/weighted.hpp, core/dynamic.hpp
-//   * results analysis: core/metrics.hpp, core/trace.hpp,
-//                       core/neighborhood.hpp
+//   * results analysis: core/metrics.hpp, core/trace.hpp
 //   * applications:     core/subgraph.hpp + graph/spectral.hpp (expander
 //                       extraction)
 //   * baselines:        baselines/*.hpp
@@ -29,7 +28,6 @@
 #include "core/dynamic.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
-#include "core/neighborhood.hpp"
 #include "core/protocol.hpp"
 #include "core/reference.hpp"
 #include "core/sharded_engine.hpp"

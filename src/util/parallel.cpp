@@ -10,8 +10,8 @@ namespace {
 std::atomic<int> g_threads{0};
 std::atomic<int> g_intra_run_cap{0};
 
-/// OMP_NUM_THREADS parsed by hand for non-OpenMP builds, so benchmark
-/// recipes pin the engine identically in every build flavor.
+/// OMP_NUM_THREADS, the conventional thread-budget variable, parsed by
+/// hand (the engines use their own ThreadTeam, not an OpenMP runtime).
 int env_thread_override() noexcept {
   const char* env = std::getenv("OMP_NUM_THREADS");
   if (!env) return 0;
@@ -28,14 +28,10 @@ thread_local ThreadTeam* t_active_team = nullptr;
 }  // namespace
 
 int hardware_threads() noexcept {
-#if defined(SAER_HAVE_OPENMP)
-  return omp_get_max_threads();  // honors OMP_NUM_THREADS
-#else
   const int env = env_thread_override();
   if (env > 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-#endif
 }
 
 void set_thread_count(int threads) noexcept {
@@ -71,14 +67,8 @@ ThreadTeam* exchange_active_team(ThreadTeam* team) noexcept {
 }
 
 int parallel_width() noexcept {
-  if (const ThreadTeam* team = t_active_team) {
-    return static_cast<int>(team->size());
-  }
-#if defined(SAER_HAVE_OPENMP)
-  return intra_run_threads();
-#else
-  return 1;
-#endif
+  const ThreadTeam* team = t_active_team;
+  return team != nullptr ? static_cast<int>(team->size()) : 1;
 }
 
 }  // namespace saer

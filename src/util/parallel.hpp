@@ -1,18 +1,15 @@
 #pragma once
 // Intra-run parallel loops for the engines.  parallel_for and the
-// reductions dispatch, in priority order, to:
+// reductions run on the thread-local active ThreadTeam (see TeamRegion
+// below) -- the engine's persistent fork-join team, installed for the
+// duration of one protocol run or service step.  Worker w always executes
+// the same contiguous index slice [len*w/W, len*(w+1)/W) of a loop, so for
+// a fixed round layout a scatter block is merged, served, and reset by the
+// same OS thread every round (cache/NUMA affinity by construction).  With
+// no team active -- width 1, or a run below the engines' serial threshold
+// -- a loop runs serially on the calling thread.
 //
-//   1. the thread-local active ThreadTeam (see TeamRegion below) -- the
-//      engine's persistent fork-join team, installed for the duration of
-//      one protocol run.  Worker w always executes the same contiguous
-//      index slice [len*w/W, len*(w+1)/W) of a loop, so for a fixed round
-//      layout a scatter block is merged, served, and reset by the same OS
-//      thread every round (cache/NUMA affinity by construction);
-//   2. OpenMP, when compiled in and no team is active (legacy path, still
-//      used by callers outside an engine run);
-//   3. a serial loop.
-//
-// All three produce bit-identical results for any width because every
+// Both produce bit-identical results for any width because every
 // shared-output fold in the engines is an order-independent exact integer
 // (or max) reduction and all randomness is counter-based (util/rng.hpp).
 //
@@ -28,15 +25,12 @@
 #include <utility>
 #include <vector>
 
-#if defined(SAER_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "util/thread_pool.hpp"
 
 namespace saer {
 
-/// Number of worker threads the parallel loops will use.
+/// Default thread budget: OMP_NUM_THREADS when set, else the hardware
+/// concurrency.
 [[nodiscard]] int hardware_threads() noexcept;
 
 /// Overrides the thread count for subsequent parallel loops (0 = default).
@@ -74,7 +68,7 @@ class IntraRunThreadCap {
 ThreadTeam* exchange_active_team(ThreadTeam* team) noexcept;
 
 /// Scoped activation: while alive, parallel_for / parallel_reduce_* called
-/// on THIS thread run on `team` (null = explicitly serial/OpenMP).  The
+/// on THIS thread run on `team` (null = serial).  The
 /// engines install one around a run; the loops themselves clear it while
 /// executing the caller's slice so loop bodies can never re-enter the team.
 class TeamRegion {
@@ -90,23 +84,60 @@ class TeamRegion {
 };
 
 /// Width the NEXT parallel loop on this thread will fan out to: the active
-/// team's size, else the OpenMP width, else 1.  scatter_layout sizes its
+/// team's size, else 1.  scatter_layout sizes its
 /// chunk partition with this.
 [[nodiscard]] int parallel_width() noexcept;
 
 namespace parallel_detail {
-/// Cache-line-padded per-worker partial, so reduction slots never share.
+/// Cache-line-padded slot, so per-worker partials (and other per-task
+/// buffers) never share a line.
 template <class T>
 struct alignas(64) Padded {
   T v{};
 };
 
-/// Worker w's slice of [0, len): contiguous, ascending, stable per (len,
-/// workers) -- the affinity contract documented on ThreadTeam.
-inline std::pair<std::size_t, std::size_t> slice(std::size_t len,
-                                                 unsigned workers,
-                                                 unsigned w) {
-  return {len * w / workers, len * (w + 1) / workers};
+/// Runs slice(w, lo, hi) over [begin, end): on the active team, worker w
+/// gets its slice of the affinity contract documented on ThreadTeam;
+/// without one, slice(0, begin, end) runs once on the calling thread.
+/// The serial call stays out of line, as a parallel region would be, so a
+/// width-1 loop does not reshape the code of the engine loop around it.
+template <class Slice>
+[[gnu::noinline]] void run_serial(Slice& slice, std::size_t begin,
+                                  std::size_t end) {
+  slice(0u, begin, end);
+}
+
+template <class Slice>
+void for_slices(std::size_t begin, std::size_t end, Slice&& slice) {
+  ThreadTeam* team = active_team();
+  if (team == nullptr || end - begin < 2) {
+    run_serial(slice, begin, end);
+    return;
+  }
+  const std::size_t len = end - begin;
+  const unsigned workers = team->size();
+  const TeamRegion no_reentry(nullptr);
+  team->run([&](unsigned w) {
+    slice(w, begin + len * w / workers, begin + len * (w + 1) / workers);
+  });
+}
+
+/// Folds body(i) over [begin, end) with `combine` (associative and
+/// commutative, identity T{}): one partial per worker, then the partials
+/// in worker order.
+template <class T, class Body, class Combine>
+T reduce(std::size_t begin, std::size_t end, Body& body, Combine combine) {
+  if (end <= begin) return T{};
+  const ThreadTeam* team = active_team();
+  std::vector<Padded<T>> parts(team != nullptr ? team->size() : 1);
+  for_slices(begin, end, [&](unsigned w, std::size_t lo, std::size_t hi) {
+    T local{};
+    for (std::size_t i = lo; i < hi; ++i) local = combine(local, body(i));
+    parts[w].v = local;
+  });
+  T total{};
+  for (const Padded<T>& part : parts) total = combine(total, part.v);
+  return total;
 }
 }  // namespace parallel_detail
 
@@ -114,139 +145,36 @@ inline std::pair<std::size_t, std::size_t> slice(std::size_t len,
 template <class Body>
 void parallel_for(std::size_t begin, std::size_t end, Body&& body) {
   if (end <= begin) return;
-  if (ThreadTeam* team = active_team(); team && end - begin > 1) {
-    const std::size_t len = end - begin;
-    const unsigned workers = team->size();
-    const TeamRegion no_reentry(nullptr);
-    team->run([&](unsigned w) {
-      const auto [lo, hi] = parallel_detail::slice(len, workers, w);
-      for (std::size_t i = lo; i < hi; ++i) body(begin + i);
-    });
-    return;
-  }
-#if defined(SAER_HAVE_OPENMP)
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  const int threads = intra_run_threads();
-#pragma omp parallel for schedule(static) num_threads(threads)
-  for (std::int64_t i = 0; i < n; ++i) {
-    body(begin + static_cast<std::size_t>(i));
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) body(i);
-#endif
+  parallel_detail::for_slices(
+      begin, end, [&](unsigned, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) body(i);
+      });
 }
 
 /// Sum-reduction over [begin, end): result is sum of body(i) as uint64.
 template <class Body>
-std::uint64_t parallel_reduce_sum(std::size_t begin, std::size_t end, Body&& body) {
-  std::uint64_t total = 0;
-  if (end <= begin) return total;
-  if (ThreadTeam* team = active_team(); team && end - begin > 1) {
-    const std::size_t len = end - begin;
-    const unsigned workers = team->size();
-    std::vector<parallel_detail::Padded<std::uint64_t>> parts(workers);
-    const TeamRegion no_reentry(nullptr);
-    team->run([&](unsigned w) {
-      const auto [lo, hi] = parallel_detail::slice(len, workers, w);
-      std::uint64_t local = 0;
-      for (std::size_t i = lo; i < hi; ++i) local += body(begin + i);
-      parts[w].v = local;
-    });
-    for (const auto& part : parts) total += part.v;
-    return total;
-  }
-#if defined(SAER_HAVE_OPENMP)
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  const int threads = intra_run_threads();
-#pragma omp parallel for schedule(static) reduction(+ : total) num_threads(threads)
-  for (std::int64_t i = 0; i < n; ++i) {
-    total += body(begin + static_cast<std::size_t>(i));
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) total += body(i);
-#endif
-  return total;
+std::uint64_t parallel_reduce_sum(std::size_t begin, std::size_t end,
+                                  Body&& body) {
+  return parallel_detail::reduce<std::uint64_t>(
+      begin, end, body, [](std::uint64_t a, std::uint64_t b) { return a + b; });
 }
 
 /// Max-reduction over [begin, end) of body(i) as uint64 (exact -- no
 /// float conversion, no atomics; used by the deep-trace scan's integral
-/// neighborhood maxima and the end-of-run load fold).
+/// neighborhood maxima).
 template <class Body>
 std::uint64_t parallel_reduce_max_u64(std::size_t begin, std::size_t end,
                                       Body&& body) {
-  std::uint64_t best = 0;
-  if (end <= begin) return best;
-  if (ThreadTeam* team = active_team(); team && end - begin > 1) {
-    const std::size_t len = end - begin;
-    const unsigned workers = team->size();
-    std::vector<parallel_detail::Padded<std::uint64_t>> parts(workers);
-    const TeamRegion no_reentry(nullptr);
-    team->run([&](unsigned w) {
-      const auto [lo, hi] = parallel_detail::slice(len, workers, w);
-      std::uint64_t local = 0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::uint64_t v = body(begin + i);
-        if (v > local) local = v;
-      }
-      parts[w].v = local;
-    });
-    for (const auto& part : parts) best = part.v > best ? part.v : best;
-    return best;
-  }
-#if defined(SAER_HAVE_OPENMP)
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  const int threads = intra_run_threads();
-#pragma omp parallel for schedule(static) reduction(max : best) num_threads(threads)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::uint64_t v = body(begin + static_cast<std::size_t>(i));
-    if (v > best) best = v;
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::uint64_t v = body(i);
-    if (v > best) best = v;
-  }
-#endif
-  return best;
+  return parallel_detail::reduce<std::uint64_t>(
+      begin, end, body,
+      [](std::uint64_t a, std::uint64_t b) { return b > a ? b : a; });
 }
 
-/// Max-reduction over [begin, end) of body(i) as double.
+/// Max-reduction over [begin, end) of body(i) as double (0 when empty).
 template <class Body>
 double parallel_reduce_max(std::size_t begin, std::size_t end, Body&& body) {
-  double best = 0.0;
-  if (end <= begin) return best;
-  if (ThreadTeam* team = active_team(); team && end - begin > 1) {
-    const std::size_t len = end - begin;
-    const unsigned workers = team->size();
-    std::vector<parallel_detail::Padded<double>> parts(workers);
-    const TeamRegion no_reentry(nullptr);
-    team->run([&](unsigned w) {
-      const auto [lo, hi] = parallel_detail::slice(len, workers, w);
-      double local = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const double v = body(begin + i);
-        if (v > local) local = v;
-      }
-      parts[w].v = local;
-    });
-    for (const auto& part : parts) best = part.v > best ? part.v : best;
-    return best;
-  }
-#if defined(SAER_HAVE_OPENMP)
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  const int threads = intra_run_threads();
-#pragma omp parallel for schedule(static) reduction(max : best) num_threads(threads)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double v = body(begin + static_cast<std::size_t>(i));
-    if (v > best) best = v;
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) {
-    const double v = body(i);
-    if (v > best) best = v;
-  }
-#endif
-  return best;
+  return parallel_detail::reduce<double>(
+      begin, end, body, [](double a, double b) { return b > a ? b : a; });
 }
 
 }  // namespace saer

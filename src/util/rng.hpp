@@ -10,7 +10,7 @@
 //                       for logical index (stream, step) is a pure function
 //                       of (seed, stream, step).  The protocol engines use it
 //                       so that results are bit-identical regardless of the
-//                       OpenMP schedule or thread count.
+//                       thread schedule or thread count.
 //
 // All bounded sampling uses Lemire's nearly-divisionless method.
 

@@ -80,8 +80,6 @@ TEST(DynamicEngineTest, SnapshotTracksServiceCounts) {
   EXPECT_EQ(snap.backlog, 0u);
   EXPECT_EQ(snap.latency_rounds.total(), 256u);
   EXPECT_EQ(snap.latency_us.total(), 256u);
-  EXPECT_EQ(snap.server_load.total(), 128u);  // one entry per server
-  EXPECT_EQ(snap.alive_servers, 128u);
   EXPECT_GT(snap.max_load, 0u);
   EXPECT_DOUBLE_EQ(snap.mean_load, 2.0);  // 256 balls over 128 servers
 }

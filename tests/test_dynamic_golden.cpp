@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -280,6 +281,141 @@ TEST(DynamicGoldenEdge, DrainCapHitMatches) {
   p.server_failure_rate = 0.5;
   p.drain_rounds = 60;
   expect_identical(run_dynamic(g, p), reference_run_dynamic(g, p));
+}
+
+// ---------------------------------------------------------------------------
+// Serve pin: `saer serve` drives DynamicEngine one step at a time and
+// reports snapshot() rows, so the step statistics and the snapshot fields
+// -- including both latency histograms -- are pinned here as FNV-1a digests
+// (the tests/test_golden_hash.cpp construction).  The literals were
+// recorded before the dynamic engine moved onto the batch engine's round
+// kernel; they hold for every team width.
+// ---------------------------------------------------------------------------
+
+struct ServeHasher {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  void u64(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;  // FNV-1a prime
+    }
+  }
+  void f64(double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    u64(bits);
+  }
+  void histogram(const IntHistogram& hist) {
+    const auto items = hist.items();
+    u64(items.size());
+    for (const auto& [value, count] : items) {
+      u64(static_cast<std::uint64_t>(value));
+      u64(count);
+    }
+  }
+  void step(const DynamicStepStats& s) {
+    u64(s.round);
+    u64(s.activated_balls);
+    u64(s.settled_balls);
+    u64(s.backlog);
+    u64(s.max_load);
+  }
+  void snapshot(const ServiceMetrics& m) {
+    u64(m.round);
+    u64(m.injected_clients);
+    u64(m.injected_balls);
+    u64(m.assigned_balls);
+    u64(m.backlog);
+    u64(m.work_messages);
+    u64(m.max_load);
+    f64(m.mean_load);
+    u64(m.burned_servers);
+    u64(m.failed_servers);
+    histogram(m.latency_rounds);
+    histogram(m.latency_us);
+  }
+};
+
+/// Bursty schedule on the virtual clock: 200 rounds alternating 10-round
+/// phases of 4 and 40 clients, then 40 quiet rounds.  Every step and every
+/// 10th snapshot go into the digest.
+std::uint64_t serve_digest(DynamicEngine& engine) {
+  ServeHasher h;
+  for (std::uint32_t r = 1; r <= 240; ++r) {
+    const std::uint64_t stamp = std::uint64_t{r} * 1000;
+    if (r <= 200) engine.inject((r / 10) % 2 == 0 ? 4 : 40, stamp);
+    h.step(engine.step(stamp + 700));
+    if (r % 10 == 0) h.snapshot(engine.snapshot());
+  }
+  return h.h;
+}
+
+DynamicParams serve_params(Protocol protocol, double failure_rate) {
+  DynamicParams p;
+  p.base.protocol = protocol;
+  p.base.d = 2;
+  p.base.c = 1.5;
+  p.base.seed = 4242;
+  p.server_failure_rate = failure_rate;
+  p.latency_bucket_us = 100;
+  return p;
+}
+
+struct ServePinCase {
+  bool implicit;
+  Protocol protocol;
+  double failure_rate;
+  std::uint64_t want;
+};
+
+TEST(DynamicServePin, SparseStepsAndSnapshots) {
+  const ImplicitRegularTopology topo(4096, 16, 77);
+  const BipartiteGraph graph = random_regular(4096, 16, 77);
+  const ServePinCase cases[] = {
+      {false, Protocol::kSaer, 0.0, 0xa0d8aa3f55ba6642ULL},
+      {false, Protocol::kSaer, 0.002, 0x41f006bda023901fULL},
+      {false, Protocol::kRaes, 0.0, 0x0aec1667354b87a4ULL},
+      {false, Protocol::kRaes, 0.002, 0x7aa4523e70a1a92eULL},
+      {true, Protocol::kSaer, 0.0, 0xced898804b2cb12cULL},
+      {true, Protocol::kSaer, 0.002, 0xe8b64f3fd09c67d9ULL},
+      {true, Protocol::kRaes, 0.0, 0xce1f62452cca45c0ULL},
+      {true, Protocol::kRaes, 0.002, 0xb0b26feb73ea2148ULL},
+  };
+  for (const ServePinCase& tc : cases) {
+    const DynamicParams p = serve_params(tc.protocol, tc.failure_rate);
+    std::uint64_t got = 0;
+    if (tc.implicit) {
+      DynamicEngine engine(topo, p);
+      got = serve_digest(engine);
+    } else {
+      DynamicEngine engine(graph, p);
+      got = serve_digest(engine);
+    }
+    EXPECT_EQ(got, tc.want)
+        << std::hex << "0x" << got << std::dec << " implicit=" << tc.implicit
+        << " protocol=" << (tc.protocol == Protocol::kSaer ? "SAER" : "RAES")
+        << " failure_rate=" << tc.failure_rate;
+  }
+}
+
+TEST(DynamicServePin, LargeBurstAcrossTeamWidths) {
+  // 2^15 clients (2^16 balls) injected at once: the first steps clear the
+  // serial threshold and run on the engine's team at width 4.
+  const BipartiteGraph graph = random_regular(1u << 15, 16, 78);
+  const DynamicParams p = serve_params(Protocol::kSaer, 0.002);
+  for (const int threads : {1, 4}) {
+    set_thread_count(threads);
+    DynamicEngine engine(graph, p);
+    engine.inject(1u << 15, 0);
+    ServeHasher h;
+    for (std::uint32_t r = 1; r <= 30; ++r) {
+      h.step(engine.step(std::uint64_t{r} * 1000));
+      if (r % 5 == 0) h.snapshot(engine.snapshot());
+    }
+    EXPECT_EQ(h.h, 0xb3b953aa0831b1feULL) << std::hex << "0x" << h.h << std::dec
+                         << " threads=" << threads;
+  }
+  set_thread_count(0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
@@ -50,6 +51,34 @@ TEST(GraphIo, BadVersionRejected) {
 TEST(GraphIo, TruncatedEdgesRejected) {
   std::stringstream in("saer-bipartite 1\n2 2 3\n0 0\n");
   EXPECT_THROW(read_graph(in), std::runtime_error);
+}
+
+/// read_graph's error message for `text` (empty when it parses).
+std::string read_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)read_graph(in);
+  } catch (const std::runtime_error& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(GraphIo, IdsBeyondTheDeclaredRangeRejected) {
+  // 2^32 + 1 would truncate to client 1 if it were cast before the check.
+  EXPECT_EQ(read_error("saer-bipartite 1\n2 2 1\n4294967297 1\n"),
+            "read_graph: line 3: client id 4294967297 not below 2");
+  EXPECT_EQ(read_error("saer-bipartite 1\n2 2 2\n0 0\n# c\n1 2\n"),
+            "read_graph: line 5: server id 2 not below 2");
+  EXPECT_EQ(read_error("saer-bipartite 1\n4294967296 2 0\n"),
+            "read_graph: line 2: client or server count above 4294967295");
+}
+
+TEST(GraphIo, HugeEdgeCountIsNotAnAllocation) {
+  // The header promises far more edges than the input holds: the reader
+  // reports the missing line instead of reserving 99999999999999 edges.
+  EXPECT_EQ(read_error("saer-bipartite 1\n2 2 99999999999999\n0 0\n"),
+            "read_graph: unexpected end of input after line 3");
 }
 
 TEST(GraphIo, MissingFileThrows) {

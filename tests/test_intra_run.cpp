@@ -5,9 +5,9 @@
 // the sweep scheduler's core arbitration (`--jobs` composes with run-level
 // threads instead of oversubscribing).
 //
-// The EngineParallel suite also runs under TSan in CI: the team path uses
-// no OpenMP, so the sanitizer sees the real cross-thread schedule of the
-// pipelined scatter merge + serve epilogue.
+// The EngineParallel suite also runs under TSan in CI: the team is the
+// only thread backend, so the sanitizer sees the real cross-thread
+// schedule of the pipelined scatter merge + serve epilogue.
 
 #include <gtest/gtest.h>
 

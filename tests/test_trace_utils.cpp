@@ -1,11 +1,10 @@
-// Tests for the trace helper functions, the parallel wrapper, and logging.
+// Tests for the trace helper functions and the parallel wrapper.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "core/trace.hpp"
-#include "util/log.hpp"
 #include "util/parallel.hpp"
 
 namespace saer {
@@ -97,20 +96,6 @@ TEST(Parallel, ThreadCountConfiguration) {
   set_thread_count(-3);
   EXPECT_EQ(configured_threads(), hardware_threads());
   EXPECT_GE(hardware_threads(), 1);
-}
-
-TEST(Log, LevelFiltering) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // These must not crash; output goes to stderr and is filtered.
-  log_debug("below threshold");
-  log_info("below threshold");
-  log_warn("below threshold");
-  log_error("emitted");
-  set_log_level(LogLevel::kOff);
-  log_error("suppressed");
-  set_log_level(original);
 }
 
 }  // namespace
