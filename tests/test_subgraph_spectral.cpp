@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/engine.hpp"
 #include "core/subgraph.hpp"
@@ -69,6 +71,27 @@ RunResult completed_run(const BipartiteGraph& g, std::uint32_t d, double c) {
   RunResult res = run_protocol(g, params);
   EXPECT_TRUE(res.completed);
   return res;
+}
+
+void expect_pinned(const SpectralEstimate& est, std::uint64_t lambda2_bits,
+                   std::uint32_t iterations, bool converged) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(est.lambda2), lambda2_bits)
+      << "lambda2 = " << est.lambda2;
+  EXPECT_EQ(est.iterations, iterations);
+  EXPECT_EQ(est.converged, converged);
+}
+
+TEST(Spectral, EstimatesArePinnedBitForBit) {
+  // The power iteration adds the same doubles in the same order whatever
+  // the graph's storage layout, so these bits only move if the operator or
+  // the graphs do.
+  expect_pinned(estimate_lambda2(random_regular(1024, 64, 5), 500),
+                0x3faddcf2e2ab3b0dULL, 132, true);
+  expect_pinned(estimate_lambda2(ring_proximity(256, 4), 2000, 1e-9),
+                0x3feff9d4dc621a69ULL, 1937, true);
+  const BipartiteGraph g = random_regular(512, theorem_degree(512), 21);
+  const BipartiteGraph sub = assignment_subgraph(g, completed_run(g, 4, 3.0));
+  expect_pinned(estimate_lambda2(sub), 0x3fe82ed823fce513ULL, 186, true);
 }
 
 TEST(Subgraph, DegreesBoundedByConstruction) {
