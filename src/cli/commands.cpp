@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -34,13 +35,22 @@ namespace saer::cli {
 
 namespace {
 
+/// Narrows a size flag (--n, --sizes, --delta) to NodeId; a value a cast
+/// would wrap is a usage error naming the flag.
+NodeId checked_node_id(const std::string& flag, std::uint64_t value) {
+  if (value > std::numeric_limits<NodeId>::max())
+    throw std::invalid_argument("--" + flag + " " + std::to_string(value) +
+                                " does not fit 32 bits");
+  return static_cast<NodeId>(value);
+}
+
 /// Seedable topology factory: the single home of the topology/flag switch.
 /// build_graph evaluates it once at the --seed flag; the sweep grid calls
 /// it with a fresh derived seed per replication.
 GraphFactory make_topology_factory(const std::string& topology, NodeId n,
                                    const CliArgs& args) {
-  const auto delta = static_cast<std::uint32_t>(
-      args.get_uint("delta", theorem_degree(n)));
+  const NodeId delta =
+      checked_node_id("delta", args.get_uint("delta", theorem_degree(n)));
   if (topology == "regular") {
     return [n, delta](std::uint64_t seed) {
       return random_regular(n, delta, seed);
@@ -153,12 +163,12 @@ std::vector<SweepPoint> build_sweep_grid(const CliArgs& args) {
 
   std::vector<SweepPoint> grid;
   for (const std::uint64_t n64 : sizes) {
-    const auto n = static_cast<NodeId>(n64);
+    const NodeId n = checked_node_id("sizes", n64);
     GraphFactory factory;
     ImplicitFactory implicit_factory;
     if (implicit) {
-      const auto delta = static_cast<std::uint32_t>(
-          args.get_uint("delta", theorem_degree(n)));
+      const NodeId delta =
+          checked_node_id("delta", args.get_uint("delta", theorem_degree(n)));
       implicit_factory = [n, delta](std::uint64_t topo_seed) {
         return ImplicitRegularTopology(n, delta, topo_seed);
       };
@@ -224,7 +234,7 @@ void print_aggregate_table(const std::vector<PointAggregate>& points) {
 
 BipartiteGraph build_graph(const CliArgs& args) {
   const std::string topology = args.get("topology", "regular");
-  const auto n = static_cast<NodeId>(args.get_uint("n", 4096));
+  const NodeId n = checked_node_id("n", args.get_uint("n", 4096));
   const std::uint64_t seed = args.get_uint("seed", 1);
   return make_topology_factory(topology, n, args)(seed);
 }
@@ -553,9 +563,9 @@ int cmd_serve(const CliArgs& args) {
   const BipartiteGraph g = [&]() -> BipartiteGraph {
     if (!graph_path.empty()) return load_graph(graph_path);
     const std::string topology = args.get("topology", "regular");
-    const auto n = static_cast<NodeId>(
-        args.get_uint("n", std::max<std::uint64_t>(
-                               injector.expected_total(horizon_s), 64)));
+    const NodeId n = checked_node_id(
+        "n", args.get_uint("n", std::max<std::uint64_t>(
+                                    injector.expected_total(horizon_s), 64)));
     return make_topology_factory(topology, n, args)(base.seed);
   }();
   const std::uint64_t drain_cap = args.get_uint(

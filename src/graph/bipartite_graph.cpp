@@ -1,6 +1,7 @@
 #include "graph/bipartite_graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace saer {
@@ -8,55 +9,52 @@ namespace saer {
 BipartiteGraph BipartiteGraph::from_edges(NodeId num_clients, NodeId num_servers,
                                           std::vector<Edge> edges,
                                           bool allow_multi_edges) {
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(num_clients) + 1, 0);
   for (const Edge& e : edges) {
     if (e.client >= num_clients)
       throw std::invalid_argument("BipartiteGraph: client id out of range");
-    if (e.server >= num_servers)
-      throw std::invalid_argument("BipartiteGraph: server id out of range");
+    ++offsets[e.client + 1];
   }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+
+  std::vector<NodeId> adj(edges.size());
+  {
+    std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+    for (const Edge& e : edges) adj[cursor[e.client]++] = e.server;
+  }
+  edges = std::vector<Edge>();  // release before the rows are sorted
+  return from_client_rows(num_clients, num_servers, std::move(offsets),
+                          std::move(adj), allow_multi_edges);
+}
+
+BipartiteGraph BipartiteGraph::from_client_rows(NodeId num_clients,
+                                                NodeId num_servers,
+                                                std::vector<EdgeId> offsets,
+                                                std::vector<NodeId> adj,
+                                                bool allow_multi_edges) {
+  if (offsets.size() != static_cast<std::size_t>(num_clients) + 1 ||
+      offsets.front() != 0 || offsets.back() != adj.size() ||
+      !std::is_sorted(offsets.begin(), offsets.end()))
+    throw std::invalid_argument(
+        "BipartiteGraph: offsets must rise from 0 to adj.size() over "
+        "num_clients + 1 entries");
+
   BipartiteGraph g;
   g.num_clients_ = num_clients;
   g.num_servers_ = num_servers;
-  g.client_off_.assign(static_cast<std::size_t>(num_clients) + 1, 0);
-  g.server_off_.assign(static_cast<std::size_t>(num_servers) + 1, 0);
-
-  for (const Edge& e : edges) {
-    ++g.client_off_[e.client + 1];
-    ++g.server_off_[e.server + 1];
-  }
-  for (std::size_t i = 1; i < g.client_off_.size(); ++i)
-    g.client_off_[i] += g.client_off_[i - 1];
-  for (std::size_t i = 1; i < g.server_off_.size(); ++i)
-    g.server_off_[i] += g.server_off_[i - 1];
-
-  // Sort by (client, server) with a two-pass stable counting sort (LSD
-  // radix over the already-computed degree offsets): O(E + n) instead of
-  // the O(E log E) comparison sort, which dominated graph construction.
-  // The result is identical to std::sort, so CSR layouts are unchanged.
-  std::vector<Edge> by_server(edges.size());
-  std::vector<EdgeId> cursor(g.server_off_.begin(), g.server_off_.end() - 1);
-  for (const Edge& e : edges) by_server[cursor[e.server]++] = e;
-  cursor.assign(g.client_off_.begin(), g.client_off_.end() - 1);
-  for (const Edge& e : by_server) edges[cursor[e.client]++] = e;
-
-  if (!allow_multi_edges) {
-    const auto dup = std::adjacent_find(edges.begin(), edges.end());
-    if (dup != edges.end())
+  g.server_deg_.assign(num_servers, 0);
+  for (NodeId v = 0; v < num_clients; ++v) {
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+    std::sort(first, last);
+    if (first != last && *(last - 1) >= num_servers)
+      throw std::invalid_argument("BipartiteGraph: server id out of range");
+    if (!allow_multi_edges && std::adjacent_find(first, last) != last)
       throw std::invalid_argument("BipartiteGraph: duplicate edge");
+    for (auto it = first; it != last; ++it) ++g.server_deg_[*it];
   }
-
-  g.client_adj_.resize(edges.size());
-  g.server_adj_.resize(edges.size());
-
-  // Edges are sorted by (client, server): client CSR fills sequentially and
-  // stays sorted; the server orientation needs per-server cursors but also
-  // ends up sorted by client because we iterate clients in order.
-  cursor.assign(g.server_off_.begin(), g.server_off_.end() - 1);
-  std::size_t pos = 0;
-  for (const Edge& e : edges) {
-    g.client_adj_[pos++] = e.server;
-    g.server_adj_[cursor[e.server]++] = e.client;
-  }
+  g.client_off_ = std::move(offsets);
+  g.client_adj_ = std::move(adj);
   return g;
 }
 
@@ -76,19 +74,16 @@ std::vector<Edge> BipartiteGraph::edges() const {
 
 void BipartiteGraph::validate() const {
   if (client_off_.size() != static_cast<std::size_t>(num_clients_) + 1 ||
-      server_off_.size() != static_cast<std::size_t>(num_servers_) + 1)
+      server_deg_.size() != num_servers_)
     throw std::logic_error("BipartiteGraph: offset array size mismatch");
-  if (client_off_.front() != 0 || server_off_.front() != 0)
+  if (client_off_.front() != 0)
     throw std::logic_error("BipartiteGraph: offsets must start at 0");
-  if (client_off_.back() != client_adj_.size() ||
-      server_off_.back() != server_adj_.size() ||
-      client_adj_.size() != server_adj_.size())
+  if (client_off_.back() != client_adj_.size())
     throw std::logic_error("BipartiteGraph: offset/adjacency size mismatch");
-  if (!std::is_sorted(client_off_.begin(), client_off_.end()) ||
-      !std::is_sorted(server_off_.begin(), server_off_.end()))
+  if (!std::is_sorted(client_off_.begin(), client_off_.end()))
     throw std::logic_error("BipartiteGraph: offsets not monotone");
 
-  std::vector<EdgeId> server_seen(num_servers_, 0);
+  std::vector<std::uint32_t> recount(num_servers_, 0);
   for (NodeId v = 0; v < num_clients_; ++v) {
     const auto nb = client_neighbors(v);
     if (!std::is_sorted(nb.begin(), nb.end()))
@@ -96,22 +91,12 @@ void BipartiteGraph::validate() const {
     for (NodeId u : nb) {
       if (u >= num_servers_)
         throw std::logic_error("BipartiteGraph: server id out of range");
-      ++server_seen[u];
+      ++recount[u];
     }
   }
-  for (NodeId u = 0; u < num_servers_; ++u) {
-    if (server_seen[u] != server_degree(u))
-      throw std::logic_error("BipartiteGraph: orientations disagree on degree");
-    const auto nb = server_neighbors(u);
-    if (!std::is_sorted(nb.begin(), nb.end()))
-      throw std::logic_error("BipartiteGraph: server adjacency not sorted");
-    for (NodeId v : nb) {
-      if (v >= num_clients_)
-        throw std::logic_error("BipartiteGraph: client id out of range");
-      if (!has_edge(v, u))
-        throw std::logic_error("BipartiteGraph: server edge missing from client side");
-    }
-  }
+  if (recount != server_deg_)
+    throw std::logic_error(
+        "BipartiteGraph: server degrees disagree with the client rows");
 }
 
 }  // namespace saer

@@ -1,7 +1,8 @@
 #pragma once
-// Immutable bipartite client-server graph in CSR form, stored in both
-// orientations: the protocol's Phase 1 samples from client adjacency, while
-// the deep-trace metrics (r_t(N(v)), S_t(v)) scan server adjacency.
+// Immutable bipartite client-server graph: client adjacency in CSR form and
+// a degree per server.  The protocol's Phase 1 samples N(v), the deep-trace
+// metrics (r_t(N(v)), S_t(v)) scan client rows too, and a server only counts
+// the requests it receives, so no server adjacency is stored.
 //
 // Node ids are 32-bit and local to each side: clients are 0..num_clients-1,
 // servers are 0..num_servers-1.  This matches the paper's model where nodes
@@ -28,13 +29,23 @@ class BipartiteGraph {
  public:
   BipartiteGraph() = default;
 
-  /// Builds from an edge list. Duplicate edges are rejected (the protocol's
-  /// uniform sampling over N(v) assumes a simple graph) unless
-  /// `allow_multi_edges` is set, which keeps duplicates (used by tests of
-  /// the repair logic in the generators).
+  /// Builds from an edge list via from_client_rows. Duplicate edges are
+  /// rejected (the protocol's uniform sampling over N(v) assumes a simple
+  /// graph) unless `allow_multi_edges` is set, which keeps duplicates (used
+  /// by tests of the repair logic in the generators).
   static BipartiteGraph from_edges(NodeId num_clients, NodeId num_servers,
                                    std::vector<Edge> edges,
                                    bool allow_multi_edges = false);
+
+  /// Adopts client rows in CSR form (client v's servers are
+  /// adj[offsets[v], offsets[v+1]), in any order) and sorts each in place.
+  /// Throws std::invalid_argument unless offsets holds num_clients + 1
+  /// monotone entries from 0 to adj.size(), every server id is below
+  /// num_servers, and no row repeats a server (unless `allow_multi_edges`).
+  static BipartiteGraph from_client_rows(NodeId num_clients, NodeId num_servers,
+                                         std::vector<EdgeId> offsets,
+                                         std::vector<NodeId> adj,
+                                         bool allow_multi_edges = false);
 
   [[nodiscard]] NodeId num_clients() const noexcept { return num_clients_; }
   [[nodiscard]] NodeId num_servers() const noexcept { return num_servers_; }
@@ -46,18 +57,13 @@ class BipartiteGraph {
     return static_cast<std::uint32_t>(client_off_[v + 1] - client_off_[v]);
   }
   [[nodiscard]] std::uint32_t server_degree(NodeId u) const noexcept {
-    return static_cast<std::uint32_t>(server_off_[u + 1] - server_off_[u]);
+    return server_deg_[u];
   }
 
   /// Servers adjacent to client v (sorted ascending).
   [[nodiscard]] std::span<const NodeId> client_neighbors(NodeId v) const noexcept {
     return {client_adj_.data() + client_off_[v],
             client_adj_.data() + client_off_[v + 1]};
-  }
-  /// Clients adjacent to server u (sorted ascending).
-  [[nodiscard]] std::span<const NodeId> server_neighbors(NodeId u) const noexcept {
-    return {server_adj_.data() + server_off_[u],
-            server_adj_.data() + server_off_[u + 1]};
   }
 
   /// k-th neighbor of client v (no bounds check in release builds).
@@ -70,9 +76,10 @@ class BipartiteGraph {
   /// All edges in (client, server) lexicographic order.
   [[nodiscard]] std::vector<Edge> edges() const;
 
-  /// Structural sanity checks (offsets consistent, adjacency sorted, both
-  /// orientations agree). Throws std::logic_error on violation; meant for
-  /// generator tests and after deserialization.
+  /// Structural sanity checks (offsets consistent, client rows sorted and in
+  /// range, stored server degrees equal to a recount from the rows). Throws
+  /// std::logic_error on violation; meant for generator tests and after
+  /// deserialization.
   void validate() const;
 
   friend bool operator==(const BipartiteGraph& a, const BipartiteGraph& b) = default;
@@ -80,10 +87,9 @@ class BipartiteGraph {
  private:
   NodeId num_clients_ = 0;
   NodeId num_servers_ = 0;
-  std::vector<EdgeId> client_off_;   // size num_clients_+1
-  std::vector<NodeId> client_adj_;   // server ids
-  std::vector<EdgeId> server_off_;   // size num_servers_+1
-  std::vector<NodeId> server_adj_;   // client ids
+  std::vector<EdgeId> client_off_;         // size num_clients_+1
+  std::vector<NodeId> client_adj_;         // server ids
+  std::vector<std::uint32_t> server_deg_;  // size num_servers_
 };
 
 }  // namespace saer

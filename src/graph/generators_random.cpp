@@ -145,15 +145,12 @@ BipartiteGraph random_regular(NodeId n, std::uint32_t delta, std::uint64_t seed)
     }
   }
 
-  // Emission order is client-major; from_edges sorts by (client, server),
-  // so the graph is identical to the former matching-major emission.
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * delta);
-  for (NodeId v = 0; v < n; ++v) {
-    const NodeId* r = row(v);
-    for (std::uint32_t m = 0; m < delta; ++m) edges.push_back({v, r[m]});
-  }
-  return BipartiteGraph::from_edges(n, n, std::move(edges));
+  // The matrix is already the client rows at offsets v*delta; sorting each
+  // row in place yields the graph the former matching-major edge list did.
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
+  for (std::size_t v = 0; v < offsets.size(); ++v) offsets[v] = v * delta;
+  return BipartiteGraph::from_client_rows(n, n, std::move(offsets),
+                                          std::move(servers));
 }
 
 BipartiteGraph erdos_renyi_bipartite(NodeId num_clients, NodeId num_servers,

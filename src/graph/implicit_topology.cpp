@@ -39,14 +39,17 @@ void ImplicitRegularTopology::neighbors(NodeId v,
 }
 
 BipartiteGraph ImplicitRegularTopology::materialize() const {
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n_) * delta_);
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n_) + 1);
+  for (std::size_t v = 0; v < offsets.size(); ++v) offsets[v] = v * delta_;
+  std::vector<NodeId> adj(offsets.back());
   std::vector<NodeId> row;
   for (NodeId v = 0; v < n_; ++v) {
     neighbors(v, row);
-    for (const NodeId u : row) edges.push_back({v, u});
+    std::copy(row.begin(), row.end(),
+              adj.begin() + static_cast<std::ptrdiff_t>(offsets[v]));
   }
-  return BipartiteGraph::from_edges(n_, n_, std::move(edges));
+  return BipartiteGraph::from_client_rows(n_, n_, std::move(offsets),
+                                          std::move(adj));
 }
 
 }  // namespace saer

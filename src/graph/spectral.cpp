@@ -1,5 +1,6 @@
 #include "graph/spectral.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -16,16 +17,13 @@ void apply_m(const BipartiteGraph& g, const std::vector<double>& sqrt_deg,
              const std::vector<double>& y, std::vector<double>& scratch_server,
              std::vector<double>& out) {
   const NodeId nc = g.num_clients();
-  const NodeId ns = g.num_servers();
-  // x = D^{-1/2} y
-  std::vector<double> x(nc);
-  for (NodeId v = 0; v < nc; ++v)
-    x[v] = sqrt_deg[v] > 0 ? y[v] / sqrt_deg[v] : y[v];
-  // s[u] = sum_{w in N(u)} x[w]
-  for (NodeId u = 0; u < ns; ++u) {
-    double s = 0;
-    for (NodeId w : g.server_neighbors(u)) s += x[w];
-    scratch_server[u] = s;
+  // s[u] = sum_{w in N(u)} x[w] with x = D^{-1/2} y, pushed along client
+  // rows: each server adds its terms in ascending w from 0.0, the order a
+  // scan of N(u) would take, so the sums are the same doubles.
+  std::fill(scratch_server.begin(), scratch_server.end(), 0.0);
+  for (NodeId w = 0; w < nc; ++w) {
+    const double x = sqrt_deg[w] > 0 ? y[w] / sqrt_deg[w] : y[w];
+    for (NodeId u : g.client_neighbors(w)) scratch_server[u] += x;
   }
   // (P x)[v] = (1/deg v) sum_{u in N(v)} s[u] / deg(u); out = D^{1/2} P x.
   for (NodeId v = 0; v < nc; ++v) {

@@ -40,6 +40,51 @@ TEST(CliGraph, UnknownTopologyThrows) {
                std::invalid_argument);
 }
 
+/// A size flag past NodeId's range is a usage error (exit 2) whose message
+/// names the flag, never a count silently wrapped to 32 bits.
+void expect_size_flag_rejected(const std::string& flag,
+                               const std::vector<std::string>& argv) {
+  std::vector<const char*> raw;
+  for (const std::string& arg : argv) raw.push_back(arg.c_str());
+  EXPECT_EQ(cli::dispatch(static_cast<int>(raw.size()), raw.data()), 2);
+  const CliArgs args =
+      make_args(std::vector<std::string>(argv.begin() + 2, argv.end()));
+  try {
+    if (argv[1] == "sweep") {
+      (void)cli::cmd_sweep(args);
+    } else {
+      (void)cli::build_graph(args);
+    }
+    ADD_FAILURE() << "expected std::invalid_argument for --" << flag;
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("--" + flag), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(CliSizeFlags, NAbove32BitsIsRejected) {
+  const auto path = fs::temp_directory_path() / "saer_cli_wide_n.txt";
+  fs::remove(path);
+  expect_size_flag_rejected("n", {"saer", "generate", "--topology", "ring",
+                                  "--n", "4294967298", "--delta", "1",
+                                  "--out", path.string()});
+  EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(CliSizeFlags, SizesAbove32BitsIsRejected) {
+  expect_size_flag_rejected("sizes", {"saer", "sweep", "--sizes", "4294967297",
+                                      "--reps", "1", "--quiet"});
+}
+
+TEST(CliSizeFlags, DeltaAbove32BitsIsRejected) {
+  const auto path = fs::temp_directory_path() / "saer_cli_wide_delta.txt";
+  fs::remove(path);
+  expect_size_flag_rejected("delta", {"saer", "generate", "--topology",
+                                      "regular", "--n", "64", "--delta",
+                                      "4294967300", "--out", path.string()});
+  EXPECT_FALSE(fs::exists(path));
+}
+
 TEST(CliCommands, GenerateStatsRoundTrip) {
   const auto path = fs::temp_directory_path() / "saer_cli_graph.txt";
   const CliArgs gen = make_args({"--topology", "ring", "--n", "128",

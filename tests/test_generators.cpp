@@ -206,6 +206,9 @@ TEST_P(RandomRegularSweep, RegularSimpleValid) {
   EXPECT_EQ(s.server_min, delta);
   EXPECT_EQ(s.server_max, delta);
   EXPECT_DOUBLE_EQ(s.rho, 1.0);
+  // The rows handed straight to from_client_rows are the graph the edge
+  // list path builds.
+  EXPECT_EQ(BipartiteGraph::from_edges(n, n, g.edges()), g);
 }
 
 INSTANTIATE_TEST_SUITE_P(

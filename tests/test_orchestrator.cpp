@@ -303,15 +303,25 @@ TEST(OrchestratorE2E, SigtermDrainsCleanlyAndResumes) {
   };
 
   Orchestrator::clear_stop();
-  std::thread stopper([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::thread stopper([&dir] {
+    // Stop once shard 0 has streamed its first row, not after a fixed
+    // delay: a fast build can finish the whole grid before any fixed delay
+    // runs out, and then there is nothing to drain.  Each shard still has
+    // 23 of its 24 runs to go.  The 30 s cap only guards a shard that
+    // never starts.
+    const fs::path first_rows = dir / "shard-0.jsonl";
+    for (int waited_ms = 0; waited_ms < 30000; waited_ms += 5) {
+      std::error_code ec;
+      if (fs::file_size(first_rows, ec) > 0 && !ec) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     Orchestrator::request_stop(SIGTERM);
   });
   const OrchestrateResult first = Orchestrator(options_for_run()).run();
   stopper.join();
 
-  // Whether or not the shards managed to finish within 300 ms, the drain
-  // must be clean: every shard exited 0 and left a resumable checkpoint.
+  // The stop landed mid-grid, so the drain must be clean: every shard
+  // exited 0 and left a resumable checkpoint.
   EXPECT_TRUE(first.drained_clean) << first.report();
   for (unsigned i = 0; i < 2; ++i) {
     const CheckpointInfo info = read_checkpoint_info(
