@@ -118,7 +118,8 @@ TEST(BipartiteGraph, FromClientRowsKeepsMultiEdgesWhenAllowed) {
       BipartiteGraph::from_client_rows(2, 2, {0, 3, 3}, {1, 0, 1}, true);
   EXPECT_EQ(g.client_degree(0), 3u);
   EXPECT_EQ(g.server_degree(1), 2u);
-  EXPECT_EQ(g, BipartiteGraph::from_edges(2, 2, {{0, 1}, {0, 0}, {0, 1}}, true));
+  EXPECT_EQ(g,
+            BipartiteGraph::from_edges(2, 2, {{0, 1}, {0, 0}, {0, 1}}, true));
 }
 
 TEST(BipartiteGraph, EmptyGraphIsValid) {
