@@ -8,6 +8,7 @@
 
 #include "graph/degree_stats.hpp"
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace saer {
 namespace {
@@ -185,6 +186,36 @@ TEST(TheoremDegree, MatchesLogSquared) {
   EXPECT_EQ(theorem_degree(1024), 100u);          // log2(1024)^2 = 100
   EXPECT_EQ(theorem_degree(1024, 2.0), 200u);
   EXPECT_LE(theorem_degree(4), 4u);               // clamped at n
+}
+
+// ---- Pinned graph bytes ---------------------------------------------------
+
+/// mix64 fold of every client row (its degree, then its servers in order)
+/// and every server degree: any change to a generated graph moves it.
+std::uint64_t graph_digest(const BipartiteGraph& g) {
+  std::uint64_t h = mix64(g.num_clients(), g.num_servers());
+  for (NodeId v = 0; v < g.num_clients(); ++v) {
+    h = mix64(h, g.client_degree(v));
+    for (const NodeId u : g.client_neighbors(v)) h = mix64(h, u);
+  }
+  for (NodeId u = 0; u < g.num_servers(); ++u) h = mix64(h, g.server_degree(u));
+  return h;
+}
+
+TEST(GeneratorBytes, RandomRegularIsPinned) {
+  // Odd delta and rows shorter than 16, rows longer than 16, a delta close
+  // to n whose repair needs shake swaps, and the single matching.
+  EXPECT_EQ(graph_digest(random_regular(4096, 16, 1)), 0xa15abe04faf34007ULL);
+  EXPECT_EQ(graph_digest(random_regular(4096, 7, 2)), 0x0b955b48b20255a0ULL);
+  EXPECT_EQ(graph_digest(random_regular(2048, 24, 3)), 0x9a67ba4f1c83d225ULL);
+  EXPECT_EQ(graph_digest(random_regular(64, 40, 4)), 0xfe42760012b233e7ULL);
+  EXPECT_EQ(graph_digest(random_regular(1000, 1, 5)), 0x551f2daff0bd1d05ULL);
+}
+
+TEST(GeneratorBytes, ProximityAndBlocksArePinned) {
+  EXPECT_EQ(graph_digest(ring_proximity(1000, 37)), 0xeb1f1b14fe163d37ULL);
+  EXPECT_EQ(graph_digest(shared_blocks(1024, 16)), 0xefe72abe6f44d4aaULL);
+  EXPECT_EQ(graph_digest(grid_proximity(64, 3)), 0xb3ac80b67e71c524ULL);
 }
 
 // ---- Parameterized regularity sweep -------------------------------------
