@@ -36,14 +36,14 @@ struct AsyncExtras {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "ablation_async",
       "threshold protocol under asynchronous message delays");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 8192));
+  const auto n = checked_node_id("n", args.get_uint("n", 8192));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 2.0);
   const auto delays = args.get_uint_list("delays", {1, 2, 4, 8, 16});
@@ -152,4 +152,7 @@ int main(int argc, char** argv) {
       "work/ball near the synchronous value; load bound c*d never violated "
       "(per-request threshold rule is delay-oblivious)\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -16,14 +16,14 @@
 #include "sim/figure.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "ablation_burn_policy",
       "cost of burning vs transient saturation across tight capacities");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const auto cs = args.get_double_list("cs", {1.1, 1.25, 1.5, 2.0, 3.0});
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -76,4 +76,7 @@ int main(int argc, char** argv) {
       "comfortable c.  Corollary 2 is the formal statement that RAES "
       "dominates SAER.\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -36,14 +36,14 @@ struct SpectralExtras {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig10_expander",
       "spectral gap of the extracted bounded-degree subgraph vs d");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 4096));
+  const auto n = checked_node_id("n", args.get_uint("n", 4096));
   const auto ds = args.get_uint_list("ds", {1, 2, 3, 4, 6, 8, 12});
   const double c = args.get_double("c", 3.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 3));
@@ -122,4 +122,7 @@ int main(int argc, char** argv) {
       "spectral gap as d grows, with degrees bounded by d and c*d -- the "
       "bounded-degree expander of Becchetti et al.\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -44,13 +44,13 @@ std::vector<std::uint32_t> make_demands(const std::string& kind, NodeId n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig11_heterogeneous",
       "general <= d request numbers: completion/work vs demand profile");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 4));
   const double c = args.get_double("c", 2.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
       "uniform-d with lower work/ball and the same c*d load bound (the "
       "paper's 'analysis of the general case is similar' remark)\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

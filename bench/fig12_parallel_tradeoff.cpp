@@ -16,14 +16,14 @@
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig12_parallel_tradeoff",
       "Adler-style r-round trade-off: max load vs rounds, with SAER contrast");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 1));
   const auto rs = args.get_uint_list("rounds", {1, 2, 3, 4, 6});
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
       "(log n/log log n)^(1/r) curve; SAER pins the load at c*d for "
       "logarithmically many rounds\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

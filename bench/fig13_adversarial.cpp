@@ -17,14 +17,14 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig13_adversarial",
       "dependence stress: random vs ring vs shared-block neighborhoods");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const auto cs = args.get_double_list("cs", {1.25, 1.5, 2.0, 4.0});
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -94,4 +94,7 @@ int main(int argc, char** argv) {
       "(all are delta-regular); shared blocks pays the largest constants at "
       "tight c because whole neighborhoods saturate together\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -22,7 +22,7 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> grid;
   for (const std::uint64_t n64 : sizes) {
-    const auto n = static_cast<NodeId>(n64);
+    const auto n = checked_node_id("sizes", n64);
     for (const std::uint64_t d64 : ds) {
       const auto d = static_cast<std::uint32_t>(d64);
       const GraphBuilder builder = [n](std::uint64_t s) {
@@ -114,4 +114,7 @@ int main(int argc, char** argv) {
       "constant max(32, 288/(eta d)) -- the analysis is deliberately "
       "unoptimized (footnote 12)\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

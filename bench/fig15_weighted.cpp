@@ -68,13 +68,13 @@ std::uint64_t weight_capacity(const std::vector<std::uint32_t>& weights,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig15_weighted",
       "weighted balls: completion under increasing weight skew");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
   const std::uint64_t seed = args.get_uint("seed", 42);
@@ -159,4 +159,7 @@ int main(int argc, char** argv) {
       "setting; heavy elephants raise rounds/burning but the weight "
       "capacity is never exceeded (threshold rule applies verbatim)\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

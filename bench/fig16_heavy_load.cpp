@@ -14,14 +14,14 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig16_heavy_load",
       "heavily-loaded regime: request number d up to and beyond log n");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 8192));
+  const auto n = checked_node_id("n", args.get_uint("n", 8192));
   const double c = args.get_double("c", 2.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
   const std::uint64_t seed = args.get_uint("seed", 42);
@@ -70,4 +70,7 @@ int main(int argc, char** argv) {
       "c*d -- the heavily-loaded regime is the easy direction for the "
       "threshold rule\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

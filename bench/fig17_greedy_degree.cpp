@@ -23,14 +23,14 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig17_greedy_degree",
       "sequential greedy-2 max load vs neighborhood size (K&P regime)");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 1));
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
   const std::uint64_t seed = args.get_uint("seed", 42);
@@ -117,4 +117,7 @@ int main(int argc, char** argv) {
       std::pow(static_cast<double>(n),
                1.0 / std::log2(std::log2(static_cast<double>(n)))));
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

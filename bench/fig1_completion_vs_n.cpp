@@ -15,7 +15,7 @@
 #include "sim/sweep.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // replications out at once instead of running each point serially.
   std::vector<SweepPoint> grid;
   for (const std::uint64_t n64 : sizes) {
-    const auto n = static_cast<NodeId>(n64);
+    const auto n = checked_node_id("sizes", n64);
     for (const Protocol proto : {Protocol::kSaer, Protocol::kRaes}) {
       SweepPoint point = benchfig::make_point(topology, n, reps, seed);
       point.config.params.protocol = proto;
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   std::vector<double> xs, ys;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::uint64_t n64 = sizes[i];
-    const auto n = static_cast<NodeId>(n64);
+    const auto n = checked_node_id("sizes", n64);
     const Aggregate& saer = swept.aggregates[2 * i];
     const Aggregate& raes = swept.aggregates[2 * i + 1];
 
@@ -85,4 +85,7 @@ int main(int argc, char** argv) {
         fit.intercept, fit.slope, fit.r2);
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -12,7 +12,7 @@
 #include "sim/sweep.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   // point out at once instead of sweeping the sizes serially.
   std::vector<SweepPoint> grid;
   for (const std::uint64_t n64 : sizes) {
-    const auto n = static_cast<NodeId>(n64);
+    const auto n = checked_node_id("sizes", n64);
     SweepPoint point = benchfig::make_point(topology, n, reps, seed);
     point.config.params.d = d;
     point.config.params.c = c;
@@ -77,4 +77,7 @@ int main(int argc, char** argv) {
         fit.coefficient, fit.exponent, fit.r2);
   }
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

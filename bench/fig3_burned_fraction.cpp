@@ -20,7 +20,7 @@
 #include "sim/figure.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       "per-round burned fraction S_t and envelope K_t vs the gamma/delta "
       "analysis curves (Lemmas 4/13/14)");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const auto cs = args.get_double_list("cs", {1.2, 2.0, 8.0, 32.0});
   const std::uint64_t seed = args.get_uint("seed", 42);
@@ -96,4 +96,7 @@ int main(int argc, char** argv) {
   }
   benchfig::print_sweep_summary(swept, sweep_options);
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

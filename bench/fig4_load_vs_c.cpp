@@ -18,14 +18,14 @@
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig4_load_vs_c",
       "max load vs c for SAER/RAES with one-shot and greedy baselines");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const auto cs = args.get_double_list("cs", {1.25, 1.5, 2.0, 4.0, 8.0, 32.0});
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -108,4 +108,7 @@ int main(int argc, char** argv) {
       reps, oneshot_max.mean(), greedy2_max.mean(), greedy_full_max.mean(),
       one_shot_theory_max_load(n), d);
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

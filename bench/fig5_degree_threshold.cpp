@@ -14,14 +14,14 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig5_degree_threshold",
       "completion vs degree Delta across the log^2 n threshold");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 2.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -88,4 +88,7 @@ int main(int argc, char** argv) {
       "expected shape: stable O(log n) completion at delta >= log^2 n "
       "(ratio >= 1); degradation, if any, confined to the sparse end\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

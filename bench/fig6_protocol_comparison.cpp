@@ -31,14 +31,14 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig6_protocol_comparison",
       "SAER vs RAES vs one-shot / sequential greedy / parallel greedy");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 2.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -136,4 +136,7 @@ int main(int argc, char** argv) {
       "O(1) work/ball; one-shot worst load; sequential greedy best load but "
       "n*d sequential steps and servers must expose loads\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -14,14 +14,14 @@
 #include "graph/degree_stats.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig7_almost_regular_rho",
       "completion vs degree skew rho on almost-regular mixtures");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 2.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -87,4 +87,7 @@ int main(int argc, char** argv) {
       "expected shape: flat completion/work across constant rho; Theorem 1 "
       "holds for every row (c can always be raised to 32*rho)\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -17,14 +17,14 @@
 #include "core/metrics.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig8_alive_decay",
       "per-round alive balls vs the Stage I/II analysis envelopes");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 2.0);
   const std::uint64_t seed = args.get_uint("seed", 42);
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
       3.0 * logn);
   benchfig::print_sweep_summary(swept, sweep_options);
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -30,14 +30,14 @@ struct DynamicExtras {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig9_dynamic",
       "online arrivals + server churn: metastability of SAER (Section 4)");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 4.0);
   const std::uint64_t seed = args.get_uint("seed", 42);
@@ -131,4 +131,7 @@ int main(int argc, char** argv) {
       "of n*d with p99 latency O(1) rounds; mild churn tolerated without "
       "load-bound violations (metastable regime conjectured in Section 4)\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

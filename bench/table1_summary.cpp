@@ -12,14 +12,14 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "table1_summary",
       "theory vs measurement for completion, work, and max load");
 
-  const auto n = static_cast<NodeId>(args.get_uint("n", 16384));
+  const auto n = checked_node_id("n", args.get_uint("n", 16384));
   const auto ds = args.get_uint_list("ds", {1, 2, 4});
   const double c = args.get_double("c", 2.0);
   const auto reps = static_cast<std::uint32_t>(args.get_uint("reps", 5));
@@ -77,4 +77,7 @@ int main(int argc, char** argv) {
       "conservative; measurements above show the bounds hold at far "
       "smaller c\n");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -9,6 +9,7 @@
 //                                  [--c 3] [--seed 7]
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "baselines/one_shot.hpp"
 #include "core/engine.hpp"
@@ -18,10 +19,10 @@
 #include "util/cli.hpp"
 #include "util/histogram.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
-  const auto side = static_cast<NodeId>(args.get_uint("side", 128));
+  const auto side = checked_node_id("side", args.get_uint("side", 128));
   const auto radius = static_cast<std::uint32_t>(args.get_uint("radius", 7));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 3.0);
@@ -56,4 +57,7 @@ int main(int argc, char** argv) {
   std::printf("\ncache load histogram under SAER (load  #caches  bar):\n%s",
               load_histogram(saer.loads).ascii(40).c_str());
   return saer.completed ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -9,6 +9,7 @@
 //   ./examples/expander_extraction [--n 4096] [--d 6] [--c 3] [--seed 2]
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/engine.hpp"
 #include "core/subgraph.hpp"
@@ -17,10 +18,10 @@
 #include "graph/spectral.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
-  const auto n = static_cast<NodeId>(args.get_uint("n", 4096));
+  const auto n = checked_node_id("n", args.get_uint("n", 4096));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 6));
   const double c = args.get_double("c", 3.0);
   const std::uint64_t seed = args.get_uint("seed", 2);
@@ -58,4 +59,7 @@ int main(int argc, char** argv) {
                   ? "-> a bounded-degree expander"
                   : "(raise --d for a larger gap)");
   return 0;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -9,16 +9,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/dynamic.hpp"
 #include "graph/degree_stats.hpp"
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
-  const auto n = static_cast<NodeId>(args.get_uint("n", 8192));
+  const auto n = checked_node_id("n", args.get_uint("n", 8192));
   const auto waves = static_cast<std::uint32_t>(args.get_uint("waves", 64));
   const double churn = args.get_double("churn", 0.0005);
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
@@ -64,4 +65,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(res.failed_servers),
               graph.num_servers());
   return res.completed ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -9,6 +9,7 @@
 //   4. read off loads / rounds / work   (core/metrics.hpp)
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
@@ -16,10 +17,10 @@
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
-  const auto n = static_cast<NodeId>(args.get_uint("n", 4096));
+  const auto n = checked_node_id("n", args.get_uint("n", 4096));
   const auto d = static_cast<std::uint32_t>(args.get_uint("d", 2));
   const double c = args.get_double("c", 4.0);
   const std::uint64_t seed = args.get_uint("seed", 1);
@@ -59,4 +60,7 @@ int main(int argc, char** argv) {
   check_result(graph, params, result);
   std::printf("check_result: all invariants hold\n");
   return result.completed ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -9,6 +9,7 @@
 //                                  [--d 2] [--c 3] [--seed 11]
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "baselines/sequential_greedy.hpp"
 #include "core/engine.hpp"
@@ -17,10 +18,10 @@
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace saer;
   const CliArgs args(argc, argv);
-  const auto n = static_cast<NodeId>(args.get_uint("n", 8192));
+  const auto n = checked_node_id("n", args.get_uint("n", 8192));
   const auto groups = static_cast<std::uint32_t>(args.get_uint("groups", 8));
   const auto delta = static_cast<std::uint32_t>(
       args.get_uint("delta", std::min<std::uint64_t>(64, n / groups)));
@@ -67,4 +68,7 @@ int main(int argc, char** argv) {
       "inherently sequential.\n",
       static_cast<unsigned long long>(params.capacity()));
   return (saer.completed && raes.completed) ? 0 : 1;
+} catch (const std::invalid_argument& err) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+  return 2;
 }

@@ -8,7 +8,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -34,15 +33,6 @@
 namespace saer::cli {
 
 namespace {
-
-/// Narrows a size flag (--n, --sizes, --delta) to NodeId; a value a cast
-/// would wrap is a usage error naming the flag.
-NodeId checked_node_id(const std::string& flag, std::uint64_t value) {
-  if (value > std::numeric_limits<NodeId>::max())
-    throw std::invalid_argument("--" + flag + " " + std::to_string(value) +
-                                " does not fit 32 bits");
-  return static_cast<NodeId>(value);
-}
 
 /// Seedable topology factory: the single home of the topology/flag switch.
 /// build_graph evaluates it once at the --seed flag; the sweep grid calls

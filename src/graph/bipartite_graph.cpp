@@ -1,10 +1,46 @@
 #include "graph/bipartite_graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <stdexcept>
 
 namespace saer {
+
+namespace {
+
+// A 60-comparator sorting network for 16 keys (the fewest comparators
+// known), in 10 layers: one per line, the last four two per line.  Each pair
+// (i, j) leaves the smaller key at i.  tests/test_graph.cpp puts all 2^16
+// 0/1 inputs through it, which by the 0-1 principle proves that it sorts.
+constexpr std::array<std::array<std::uint8_t, 2>, 60> kSort16 = {{
+    {0, 13}, {1, 12}, {2, 15}, {3, 14}, {4, 8}, {5, 6}, {7, 11}, {9, 10},
+    {0, 5}, {1, 7}, {2, 9}, {3, 4}, {6, 13}, {8, 14}, {10, 15}, {11, 12},
+    {0, 1}, {2, 3}, {4, 5}, {6, 8}, {7, 9}, {10, 11}, {12, 13}, {14, 15},
+    {0, 2}, {1, 3}, {4, 10}, {5, 11}, {6, 7}, {8, 9}, {12, 14}, {13, 15},
+    {1, 2}, {3, 12}, {4, 6}, {5, 7}, {8, 10}, {9, 11}, {13, 14},
+    {1, 4}, {2, 6}, {5, 8}, {7, 10}, {9, 13}, {11, 14},
+    {2, 4}, {3, 6}, {9, 12}, {11, 13}, {3, 5}, {6, 8}, {7, 9}, {10, 12},
+    {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}, {6, 7}, {8, 9}}};
+
+/// Sorts a row of at most 16 ids with kSort16, padded with the largest id.
+/// Unrolled, the keys stay in registers and each comparator is a
+/// conditional move, so a random row costs no branch mispredictions.
+void sort_short_row(NodeId* first, NodeId* last) {
+  std::array<NodeId, 16> keys;
+  std::fill(std::copy(first, last, keys.begin()), keys.end(), ~NodeId{0});
+#pragma GCC unroll 60
+  for (const auto [i, j] : kSort16) {
+    const NodeId a = keys[i];
+    const NodeId b = keys[j];
+    const NodeId lo = b < a ? b : a;
+    keys[i] = lo;
+    keys[j] = a ^ b ^ lo;
+  }
+  std::copy(keys.begin(), keys.begin() + (last - first), first);
+}
+
+}  // namespace
 
 BipartiteGraph BipartiteGraph::from_edges(NodeId num_clients, NodeId num_servers,
                                           std::vector<Edge> edges,
@@ -44,9 +80,13 @@ BipartiteGraph BipartiteGraph::from_client_rows(NodeId num_clients,
   g.num_servers_ = num_servers;
   g.server_deg_.assign(num_servers, 0);
   for (NodeId v = 0; v < num_clients; ++v) {
-    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    std::sort(first, last);
+    NodeId* const first = adj.data() + offsets[v];
+    NodeId* const last = adj.data() + offsets[v + 1];
+    // Below 5 ids std::sort's insertion sort is cheaper than 60 comparators.
+    if (last - first > 4 && last - first <= 16)
+      sort_short_row(first, last);
+    else
+      std::sort(first, last);
     if (first != last && *(last - 1) >= num_servers)
       throw std::invalid_argument("BipartiteGraph: server id out of range");
     if (!allow_multi_edges && std::adjacent_find(first, last) != last)

@@ -59,16 +59,25 @@ BipartiteGraph random_regular(NodeId n, std::uint32_t delta, std::uint64_t seed)
   // query, so the row must be contiguous (the former matching-major layout
   // made every repair query touch delta cache lines and dominated the
   // build).  Each matching is still sampled as an independent shuffle of
-  // the identity, drawing the same RNG sequence as before.
+  // the identity, drawing the same RNG sequence as before.  Matchings are
+  // shuffled two at a time, so one strided pass over the matrix writes two
+  // columns of each row.
   std::vector<NodeId> servers(static_cast<std::size_t>(n) * delta);
-  std::vector<NodeId> identity(n);
-  std::iota(identity.begin(), identity.end(), NodeId{0});
-  std::vector<NodeId> perm(n);
-  for (std::uint32_t m = 0; m < delta; ++m) {
-    perm = identity;
-    shuffle_ids(perm, rng);
-    for (NodeId v = 0; v < n; ++v)
-      servers[static_cast<std::size_t>(v) * delta + m] = perm[v];
+  std::vector<NodeId> perm_a(n);
+  std::vector<NodeId> perm_b(n);
+  for (std::uint32_t m = 0; m < delta; m += 2) {
+    const bool pair = m + 1 < delta;
+    std::iota(perm_a.begin(), perm_a.end(), NodeId{0});
+    shuffle_ids(perm_a, rng);
+    if (pair) {
+      std::iota(perm_b.begin(), perm_b.end(), NodeId{0});
+      shuffle_ids(perm_b, rng);
+    }
+    NodeId* col = servers.data() + m;
+    for (NodeId v = 0; v < n; ++v, col += delta) {
+      col[0] = perm_a[v];
+      if (pair) col[1] = perm_b[v];
+    }
   }
   const auto row = [&](NodeId v) {
     return servers.data() + static_cast<std::size_t>(v) * delta;
@@ -85,9 +94,8 @@ BipartiteGraph random_regular(NodeId n, std::uint32_t delta, std::uint64_t seed)
   // O(n*delta) shuffles above.
   auto client_has_elsewhere = [&](NodeId v, std::uint32_t m, NodeId server) {
     const NodeId* r = row(v);
-    for (std::uint32_t o = 0; o < delta; ++o)
-      if (o != m && r[o] == server) return true;
-    return false;
+    return std::find(r, r + m, server) != r + m ||
+           std::find(r + m + 1, r + delta, server) != r + delta;
   };
   auto has_conflict = [&](NodeId v, std::uint32_t m) {
     return client_has_elsewhere(v, m, row(v)[m]);
@@ -96,21 +104,18 @@ BipartiteGraph random_regular(NodeId n, std::uint32_t delta, std::uint64_t seed)
   std::vector<std::pair<NodeId, std::uint32_t>> queue;
   {
     // Initial conflict collection in O(n*delta) with an epoch-stamped
-    // first-seen table (server -> first matching index this client).
+    // seen table: stamp[s] == epoch once the current row has held s.
     std::vector<std::uint32_t> stamp(n, 0);
-    std::vector<std::uint32_t> first(n, 0);
     std::uint32_t epoch = 0;
     for (NodeId v = 0; v < n; ++v) {
       ++epoch;
       const NodeId* r = row(v);
       for (std::uint32_t m = 0; m < delta; ++m) {
         const NodeId s = r[m];
-        if (stamp[s] == epoch) {
-          queue.emplace_back(v, m);  // duplicate of row(v)[first[s]]
-        } else {
+        if (stamp[s] == epoch)
+          queue.emplace_back(v, m);  // repeats an earlier entry of the row
+        else
           stamp[s] = epoch;
-          first[s] = m;
-        }
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace saer {
@@ -220,6 +221,13 @@ void CliArgs::reject_unknown() const {
   if (unknown.size() > 1) msg += 's';
   for (const auto& name : unknown) msg += " --" + name;
   throw std::invalid_argument(msg);
+}
+
+std::uint32_t checked_node_id(const std::string& flag, std::uint64_t value) {
+  if (value > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("--" + flag + " " + std::to_string(value) +
+                                " does not fit 32 bits");
+  return static_cast<std::uint32_t>(value);
 }
 
 }  // namespace saer

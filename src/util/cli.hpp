@@ -60,4 +60,10 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// Narrows a size flag's value (--n, --sizes, --delta, --side) to a 32-bit
+/// node id; a value a cast would wrap throws std::invalid_argument naming
+/// the flag.
+[[nodiscard]] std::uint32_t checked_node_id(const std::string& flag,
+                                            std::uint64_t value);
+
 }  // namespace saer

@@ -181,5 +181,15 @@ TEST(CliArgsUnknown, BenchmarkFlagsArePassedThrough) {
   EXPECT_NO_THROW(args.reject_unknown());
 }
 
+TEST(CheckedNodeId, ThirtyTwoBitBoundary) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(checked_node_id("n", kMax), kMax);
+  EXPECT_EQ(checked_node_id("n", 0), 0u);
+  expect_named_error([] { (void)checked_node_id("n", kMax + 1); }, "n",
+                     "does not fit 32 bits");
+  expect_named_error([] { (void)checked_node_id("side", 4294967312ULL); },
+                     "side", "4294967312");
+}
+
 }  // namespace
 }  // namespace saer

@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "graph/bipartite_graph.hpp"
 #include "graph/degree_stats.hpp"
+#include "util/rng.hpp"
 
 namespace saer {
 namespace {
+
+/// One client whose row is `row`.
+BipartiteGraph one_row(NodeId num_servers, std::vector<NodeId> row) {
+  const EdgeId len = row.size();
+  return BipartiteGraph::from_client_rows(1, num_servers, {0, len},
+                                          std::move(row));
+}
 
 BipartiteGraph small_graph() {
   // 3 clients, 4 servers.
@@ -111,6 +122,66 @@ TEST(BipartiteGraph, FromClientRowsRejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(BipartiteGraph::from_client_rows(2, 2, {0, 2, 1}, {0, 1}),
                std::invalid_argument);
+  // The id checks again, on rows the 16-key network sorts (5 to 16 ids)
+  // and on longer ones: a descending row, then one id out of range, then
+  // one repeated.
+  for (const NodeId len : {5u, 16u, 17u, 40u}) {
+    std::vector<NodeId> row(len);
+    std::iota(row.rbegin(), row.rend(), NodeId{0});
+    EXPECT_NO_THROW(one_row(len, row)) << len;
+    row[len / 2] = len;
+    EXPECT_THROW(one_row(len, row), std::invalid_argument) << len;
+    row[len / 2] = 0;
+    EXPECT_THROW(one_row(len, row), std::invalid_argument) << len;
+  }
+}
+
+TEST(BipartiteGraph, SortNetworkSortsEveryZeroOneRow) {
+  // Rows of 16 ids go through the 16-key sorting network.  By the 0-1
+  // principle, a network that sorts all 2^16 rows of 0s and 1s sorts
+  // every row, and so every shorter row padded with the largest id.
+  constexpr NodeId kRows = NodeId{1} << 16;
+  std::vector<EdgeId> offsets(std::size_t{kRows} + 1);
+  std::vector<NodeId> adj(std::size_t{kRows} * 16);
+  for (NodeId x = 0; x < kRows; ++x) {
+    offsets[x + 1] = offsets[x] + 16;
+    for (NodeId b = 0; b < 16; ++b) adj[offsets[x] + b] = (x >> b) & 1;
+  }
+  const BipartiteGraph g = BipartiteGraph::from_client_rows(
+      kRows, 2, std::move(offsets), std::move(adj), true);
+  for (NodeId x = 0; x < kRows; ++x) {
+    const auto row = g.client_neighbors(x);
+    ASSERT_TRUE(std::is_sorted(row.begin(), row.end())) << x;
+    ASSERT_EQ(std::count(row.begin(), row.end(), 1u), std::popcount(x)) << x;
+  }
+}
+
+TEST(BipartiteGraph, FromClientRowsSortsLikeStdSortAtEveryLength) {
+  // Rows of 0 to 40 ids span std::sort's short rows, the network's 5 to 16
+  // and std::sort's long rows; ids repeat and reach num_servers - 1.
+  constexpr NodeId kServers = 23;
+  Xoshiro256ss rng(17);
+  std::vector<EdgeId> offsets{0};
+  std::vector<NodeId> adj;
+  for (int rep = 0; rep < 50; ++rep) {
+    for (EdgeId len = 0; len <= 40; ++len) {
+      for (EdgeId k = 0; k < len; ++k)
+        adj.push_back(k == 0 ? kServers - 1
+                             : static_cast<NodeId>(rng.bounded(kServers)));
+      offsets.push_back(adj.size());
+    }
+  }
+  const auto clients = static_cast<NodeId>(offsets.size() - 1);
+  const BipartiteGraph g =
+      BipartiteGraph::from_client_rows(clients, kServers, offsets, adj, true);
+  for (NodeId v = 0; v < clients; ++v) {
+    std::vector<NodeId> want(adj.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                             adj.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+    std::sort(want.begin(), want.end());
+    const auto got = g.client_neighbors(v);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "client " << v << ", row of " << want.size();
+  }
 }
 
 TEST(BipartiteGraph, FromClientRowsKeepsMultiEdgesWhenAllowed) {
