@@ -27,7 +27,7 @@ constexpr std::array<std::array<std::uint8_t, 2>, 60> kSort16 = {{
 /// Unrolled, the keys stay in registers and each comparator is a
 /// conditional move, so a random row costs no branch mispredictions.
 void sort_short_row(NodeId* first, NodeId* last) {
-  std::array<NodeId, 16> keys;
+  std::array<NodeId, 16> keys{};
   std::fill(std::copy(first, last, keys.begin()), keys.end(), ~NodeId{0});
 #pragma GCC unroll 60
   for (const auto [i, j] : kSort16) {
